@@ -10,9 +10,8 @@ from .bounds import (BoundBreakdown, DeviationConstants, DeviationReport,
                      nt_deviation_bound, p_star_bracket)
 from .diffusion import (AssumptionParams, DiffusionModel, bounded_drift,
                         brownian, ou)
-from .gridfn import GridFunction
-from .kac import (GreenKernel, MomentTable, exit_moment_table, green,
-                  hitting_moment_table, mean_exit_time, simultaneity_check)
+from .kac import (MomentTable, exit_moment_table, hitting_moment_table,
+                  mean_exit_time, simultaneity_check)
 from .quadrature import (QuadratureConfig, QuadratureResult, integrate_finite,
                          integrate_semi_infinite)
 from .simulator import (InitialLaw, RegenerationSample, SimConfig,
@@ -22,13 +21,11 @@ from .simulator import (InitialLaw, RegenerationSample, SimConfig,
 
 __all__ = [
     "AssumptionParams", "BoundBreakdown", "DeviationConstants",
-    "DeviationReport", "DiffusionModel", "GreenKernel", "GridFunction",
-    "InitialLaw", "MomentTable", "QuadratureConfig", "QuadratureResult",
-    "RegenerationSample", "SimConfig", "bounded_drift", "brownian",
-    "ergodic_bound_l1", "ergodic_bound_sup", "estimate_constants",
-    "estimate_deviation_prob", "estimate_hitting_moment",
-    "estimate_hitting_moments", "exit_moment_table", "green",
-    "hitting_moment_table", "integrate_finite", "integrate_semi_infinite",
+    "DeviationReport", "DiffusionModel", "InitialLaw", "MomentTable",
+    "QuadratureConfig", "QuadratureResult", "RegenerationSample", "SimConfig",
+    "bounded_drift", "brownian", "ergodic_bound_l1", "ergodic_bound_sup",
+    "estimate_constants", "estimate_deviation_prob", "estimate_hitting_moment",
+    "estimate_hitting_moments", "exit_moment_table", "hitting_moment_table", "integrate_finite", "integrate_semi_infinite",
     "tail_power_integral", "head_power_integral", "mean_exit_time",
     "moment_lower_bound", "moment_upper_bound", "nt_deviation_bound", "ou",
     "p_star_bracket", "simulate_path", "simulate_paths",

@@ -8,17 +8,18 @@ For dX = beta(X) dt + sigma(X) dW the (natural-scale) objects are
     m(x) = 2 / (sigma(x)^2 s(x)).
 
 The anchor defaults to 0; every downstream formula uses only differences of
-S and ratios of s, so the choice is a convention.  The log-scale exponent is
-cached as a chained antiderivative so that s, S, m evaluate over whole node
-batches at once; m is computed as 2*exp(B - log sigma^2), which stays finite
-far into tails where s itself would overflow.
+S and ratios of s, so the choice is a convention.  The log-scale exponent B
+and S are fixed-panel antiderivatives, so s, S, m evaluate over whole node
+batches at once and their values do not depend on earlier calls; m is
+computed as 2*exp(B - log sigma^2), which stays finite far into tails where s
+itself would overflow.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -112,18 +113,16 @@ class RecurrenceReport:
 class DiffusionModel:
     """Immutable diffusion dX = beta dt + sigma dW with cached scale objects.
 
-    All methods are pure; integral caches are append-only and lock-guarded,
-    so instances can be shared across threads.
+    All methods are pure; the panel sums behind B and S are append-only and
+    lock-guarded, so instances can be shared across threads.
     """
 
     def __init__(self, drift: Callable, diffusion: Callable, label: str = "",
-                 lipschitz_note: str = "assumed locally Lipschitz",
                  anchor: float = 0.0,
                  quad: QuadratureConfig = DEFAULT_CONFIG):
         self._drift = vectorize_integrand(drift)
         self._sigma = vectorize_integrand(diffusion)
         self.label = label or "anonymous"
-        self.lipschitz_note = lipschitz_note
         self.anchor = float(anchor)
         self.quad = quad
         # B(x) = 2 * int_anchor^x beta/sigma^2; s = exp(-B)
@@ -154,7 +153,8 @@ class DiffusionModel:
         return s2
 
     def model_hash(self) -> str:
-        payload = f"{self.label}|anchor={self.anchor}".encode()
+        payload = f"{self.label}|anchor={self.anchor}|quad={astuple(self.quad)}"
+        payload = payload.encode()
         return hashlib.sha256(payload).hexdigest()[:12]
 
     # -- scale and speed ----------------------------------------------------

@@ -63,10 +63,9 @@ def _tokenize(src: str) -> list[_Token]:
 class CompiledExpression:
     """Callable compiled from an expression string; vectorized over x."""
 
-    def __init__(self, source: str, fn: Callable, uses_x: bool):
+    def __init__(self, source: str, fn: Callable):
         self.source = source
         self._fn = fn
-        self.uses_x = uses_x
 
     def __call__(self, x):
         return self._fn(np.asarray(x, dtype=float))
@@ -80,7 +79,6 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
-        self.uses_x = False
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -155,7 +153,6 @@ class _Parser:
         if tok.kind == "name":
             name = tok.text
             if name == "x":
-                self.uses_x = True
                 return lambda x: x
             if name in _CONSTS:
                 val = _CONSTS[name]
@@ -180,4 +177,4 @@ def parse_expression(source: str) -> CompiledExpression:
         raise ExpressionError("empty expression", position=0)
     parser = _Parser(source)
     fn = parser.parse()
-    return CompiledExpression(source.strip(), fn, parser.uses_x)
+    return CompiledExpression(source.strip(), fn)

@@ -1,6 +1,6 @@
-"""Green's functions and hitting/exit-time moments by the iterated moment
-recursion: the order-k moment curve is the integral of the order-(k-1) curve
-against the Green kernel and the speed density.
+"""Hitting/exit-time moments by the iterated moment recursion: the order-k
+moment curve is the integral of the order-(k-1) curve against the Green
+kernel and the speed density, taken as running integrals along a grid.
 
 Two-sided exit moments are always finite and are built on a shared internal
 grid, interpolating each order's curve (shape-preserving cubic) inside the
@@ -31,9 +31,8 @@ from .gridfn import cumulative_panels
 from .quadrature import integrate_finite, integrate_semi_infinite
 
 __all__ = [
-    "GreenKernel", "MomentTable", "green", "mean_exit_time",
-    "exit_moment_table", "hitting_moment_table", "simultaneity_check",
-    "SimultaneityReport",
+    "MomentTable", "mean_exit_time", "exit_moment_table",
+    "hitting_moment_table", "simultaneity_check", "SimultaneityReport",
 ]
 
 FROM_BELOW = "from_below"
@@ -45,61 +44,6 @@ _N_GEOMETRIC = 49
 _TAIL_FACTOR = 8.0
 _LOG_SCALE_LIMIT = 600.0  # keep exp(+-B) representable on the working range
 _MAX_REFINEMENTS = 3
-
-
-@dataclass(frozen=True)
-class GreenKernel:
-    """Green's function of the exit/hitting problem on (a, b).
-
-    Exactly one of the endpoints may be infinite (-inf for a, +inf for b).
-    ``scale`` is the model's scale function.
-    """
-
-    a: float
-    b: float
-    scale: Callable
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise DomainError("kernel needs a < b")
-        if math.isinf(self.a) and math.isinf(self.b):
-            raise DomainError("at most one endpoint may be infinite")
-
-    def __call__(self, x: float, xi) -> np.ndarray | float:
-        scalar = np.ndim(xi) == 0
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        if not (self.a <= x <= self.b):
-            raise DomainError(f"x={x} outside kernel interval [{self.a}, {self.b}]")
-        S = self.scale
-        sx = S(x)
-        out = np.zeros_like(xi_arr)
-        if math.isinf(self.a):
-            sb = S(self.b)
-            inside = xi_arr <= self.b
-            vals = np.where(xi_arr <= x, sb - sx,
-                            sb - S(np.clip(xi_arr, None, self.b)))
-            out[inside] = vals[inside]
-        elif math.isinf(self.b):
-            sa = S(self.a)
-            inside = xi_arr >= self.a
-            vals = np.where(xi_arr >= x,
-                            sx - sa,
-                            S(np.clip(xi_arr, self.a, None)) - sa)
-            out[inside] = vals[inside]
-        else:
-            sa, sb = S(self.a), S(self.b)
-            inside = (xi_arr >= self.a) & (xi_arr <= self.b)
-            sxi = S(np.clip(xi_arr, self.a, self.b))
-            vals = np.where(xi_arr <= x,
-                            (sb - sx) * (sxi - sa),
-                            (sx - sa) * (sb - sxi)) / (sb - sa)
-            out[inside] = vals[inside]
-        return float(out[0]) if scalar else out
-
-
-def green(kernel: GreenKernel, x: float, xi):
-    """Evaluate the kernel; zero outside [a, b], error if x is outside."""
-    return kernel(x, xi)
 
 
 @dataclass

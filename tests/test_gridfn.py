@@ -1,49 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from ergodiff.errors import DomainError
-from ergodiff.gridfn import Antiderivative, GridFunction, cumulative_panels
-
-
-def test_grid_validation():
-    with pytest.raises(DomainError):
-        GridFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-    with pytest.raises(DomainError):
-        GridFunction(np.array([0.0, 1.0]), np.zeros(3))
-    with pytest.raises(DomainError):
-        GridFunction(np.array([0.0, 1.0]), np.zeros(2), interp="spline5")
-
-
-def test_out_of_range_is_error():
-    g = GridFunction(np.linspace(0, 1, 11), np.linspace(0, 1, 11))
-    with pytest.raises(DomainError):
-        g(1.5)
-    with pytest.raises(DomainError):
-        g(np.array([0.5, -0.1]))
-
-
-def test_linear_and_cubic_agree_on_linear_data():
-    xs = np.linspace(-2, 3, 21)
-    ys = 2.0 * xs - 1.0
-    lin = GridFunction(xs, ys, interp="linear")
-    cub = GridFunction(xs, ys, interp="cubic")
-    probe = np.linspace(-2, 3, 101)
-    assert np.allclose(lin(probe), cub(probe), atol=1e-12)
-    assert abs(lin(0.37) - (2 * 0.37 - 1)) < 1e-12
-
-
-def test_cubic_no_overshoot_on_positive_data():
-    xs = np.linspace(0, 1, 9)
-    ys = np.maximum(xs - 0.5, 0.0) ** 2
-    g = GridFunction(xs, ys, interp="cubic")
-    probe = np.linspace(0, 1, 401)
-    assert np.min(g(probe)) >= -1e-15
-
-
-def test_from_function_roundtrip():
-    g = GridFunction.from_function(np.cos, 0.0, 3.0, n=256)
-    probe = np.linspace(0, 3, 50)
-    assert np.max(np.abs(g(probe) - np.cos(probe))) < 1e-6
+from ergodiff.gridfn import (Antiderivative, _gap_panels, _panel_integrals,
+                             cumulative_panels)
 
 
 def test_cumulative_panels_polynomial():
@@ -57,7 +20,7 @@ def test_antiderivative_matches_exact():
     F = Antiderivative(lambda t: np.cos(t), anchor=0.0)
     xs = np.array([-2.0, -0.5, 0.3, 1.7, 4.0])
     assert np.max(np.abs(F.values(xs) - np.sin(xs))) < 1e-10
-    # repeated and interleaved queries reuse anchors consistently
+    # repeated and interleaved queries agree with the first batch
     ys = np.array([-1.0, 0.3, 2.5])
     assert np.max(np.abs(F.values(ys) - np.sin(ys))) < 1e-10
     assert abs(F(0.3) - np.sin(0.3)) < 1e-12
@@ -68,3 +31,66 @@ def test_antiderivative_nonzero_anchor():
     assert abs(F(3.0) - (9.0 - 1.0)) < 1e-10
     assert abs(F(0.0) - (0.0 - 1.0)) < 1e-10
     assert F(1.0) == 0.0
+
+
+def test_antiderivative_independent_of_batch_and_order():
+    xs = np.array([-7.3, -2.0, -0.0625, 0.01, 0.3, 1.7, 15.99, 16.0, 40.0])
+    batch = Antiderivative(np.cos, anchor=0.5).values(xs)
+    one_by_one = Antiderivative(np.cos, anchor=0.5)
+    assert np.array_equal(batch, [one_by_one(x) for x in xs[::-1]][::-1])
+    assert np.max(np.abs(batch - (np.sin(xs) - np.sin(0.5)))) < 1e-10
+
+
+def test_antiderivative_evaluates_only_up_to_the_query():
+    seen = []
+
+    def g(t):
+        seen.append(np.max(np.abs(t)))
+        return np.exp(t * t)  # overflows beyond |t| ~ 26.6
+
+    F = Antiderivative(g)
+    assert np.isfinite(F(26.5)) and np.isfinite(F(-26.5))
+    assert max(seen) <= 26.5
+
+
+def test_antiderivative_rejects_non_finite_points():
+    F = Antiderivative(np.cos)
+    with pytest.raises(DomainError):
+        F.values(np.array([0.0, np.inf]))
+    with pytest.raises(DomainError):
+        F(np.nan)
+
+
+def _recursive_reference(lo, hi, tol, depth=0):
+    k, e = _gap_panels(np.sqrt, np.array([lo]), np.array([hi]))
+    if e[0] <= tol or depth >= 24:
+        return k[0]
+    mid = 0.5 * (lo + hi)
+    return (_recursive_reference(lo, mid, 0.5 * tol, depth + 1)
+            + _recursive_reference(mid, hi, 0.5 * tol, depth + 1))
+
+
+def test_level_bisection_matches_recursive_bisection():
+    # sqrt has a singular derivative at 0, so the first gap bisects deeply
+    lo, hi = np.array([0.0, 0.5, 1.0, 3.0]), np.array([0.5, 1.0, 3.0, 40.0])
+    got = _panel_integrals(np.sqrt, lo, hi, 1e-12, 1e-15)
+    k, _ = _gap_panels(np.sqrt, lo, hi)
+    tol = np.maximum(1e-15, 1e-12 * np.abs(k))
+    want = [_recursive_reference(a, b, t) for a, b, t in zip(lo, hi, tol)]
+    assert np.array_equal(got, want)
+    assert np.allclose(got, (hi ** 1.5 - lo ** 1.5) / 1.5, rtol=1e-11)
+
+
+def test_antiderivative_shared_across_threads():
+    probes = [np.linspace(-30.0, 30.0, 61) + 0.01 * i for i in range(8)]
+    want = [Antiderivative(np.cos, anchor=0.25).values(p) for p in probes]
+    F = Antiderivative(np.cos, anchor=0.25)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(F.values, p) for p in probes]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))

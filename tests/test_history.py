@@ -1,0 +1,72 @@
+"""The scale/speed layer and the moment tables built on it give bitwise-equal
+results whatever calls the same model answered before."""
+
+import numpy as np
+import pytest
+
+from ergodiff.diffusion import bounded_drift, ou
+from ergodiff.kac import hitting_moment_table
+from ergodiff.quadrature import QuadratureConfig
+
+OU_PROBES = np.array([-3.7, -1.0, -0.03, 0.0, 0.4, 1.0, 2.5, 3.1, 4.2])
+OU_GRID = [0.5, 1.0, 1.5, 2.0]
+BD_PROBES = np.array([-250.0, -3.3, 0.0, 0.7, 12.0, 99.5, 1234.5])
+BD_GRID = np.linspace(25.0, 100.0, 7)
+
+
+def _snapshot(model, probes, table):
+    return (model.scale_function(probes), model.speed_density(probes),
+            model.log_scale_exponent(probes), table(model).values)
+
+
+def _ou_table(model):
+    return hitting_moment_table(model, 0.0, "from_above", OU_GRID, 2)
+
+
+def _bd_table(model):
+    return hitting_moment_table(model, 12.0, "from_above", BD_GRID, 1)
+
+
+def _reversed_probes(model):
+    model.scale_function(OU_PROBES[::-1])
+    model.speed_density(OU_PROBES[::-1])
+    model.log_scale_exponent(OU_PROBES[::-1])
+
+
+OU_PREFIXES = {
+    "warm_table_shifted_grid": lambda m: hitting_moment_table(
+        m, 0.0, "from_above", [0.6, 1.1, 1.6, 2.1], 2),
+    "classify_recurrence": lambda m: m.classify_recurrence(),
+    "scale_function_linspace": lambda m: m.scale_function(
+        np.linspace(-4.0, 4.0, 201)),
+    "reversed_probes": _reversed_probes,
+}
+
+
+@pytest.fixture(scope="module")
+def ou_fresh():
+    return _snapshot(ou(1.0), OU_PROBES, _ou_table)
+
+
+@pytest.mark.parametrize("prefix", sorted(OU_PREFIXES))
+def test_ou_results_independent_of_call_history(ou_fresh, prefix):
+    model = ou(1.0)
+    OU_PREFIXES[prefix](model)
+    for fresh, after in zip(ou_fresh, _snapshot(model, OU_PROBES, _ou_table)):
+        assert np.array_equal(fresh, after)
+
+
+def test_bounded_drift_results_independent_of_call_history():
+    fresh = _snapshot(bounded_drift(1.0), BD_PROBES, _bd_table)
+    model = bounded_drift(1.0)
+    model.scale_function(np.geomspace(1.0, 1e4, 50))
+    for a, b in zip(fresh, _snapshot(model, BD_PROBES, _bd_table)):
+        assert np.array_equal(a, b)
+
+
+def test_model_hash_covers_quadrature_config():
+    base = ou(1.0).model_hash()
+    assert ou(1.0, quad=QuadratureConfig()).model_hash() == base
+    assert ou(1.0, quad=QuadratureConfig(rel_tol=1e-8)).model_hash() != base
+    assert ou(1.0, quad=QuadratureConfig(abs_tol=1e-11)).model_hash() != base
+    assert ou(1.0, anchor=0.5).model_hash() != base

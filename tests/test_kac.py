@@ -6,9 +6,8 @@ from scipy import integrate as sci
 
 from ergodiff.diffusion import bounded_drift, brownian, ou
 from ergodiff.errors import DomainError, NotPositiveRecurrentError
-from ergodiff.kac import (GreenKernel, exit_moment_table, green,
-                          hitting_moment_table, mean_exit_time,
-                          simultaneity_check)
+from ergodiff.kac import (exit_moment_table, hitting_moment_table,
+                          mean_exit_time, simultaneity_check)
 
 
 @pytest.fixture(scope="module")
@@ -19,44 +18,6 @@ def bm():
 @pytest.fixture(scope="module")
 def ou1():
     return ou(1.0)
-
-
-# -- Green kernel -------------------------------------------------------------
-
-def test_green_two_sided_midpoint(bm):
-    k = GreenKernel(0.0, 1.0, bm.scale_function)
-    assert green(k, 0.5, 0.5) == pytest.approx(0.25, abs=1e-10)
-
-
-def test_green_outside_support_zero(bm):
-    k = GreenKernel(0.0, 1.0, bm.scale_function)
-    assert green(k, 0.5, 2.0) == 0.0
-    assert green(k, 0.5, -0.3) == 0.0
-
-
-def test_green_one_sided_flat_branch(bm):
-    k = GreenKernel(-math.inf, 1.0, bm.scale_function)
-    assert green(k, 0.0, -3.0) == pytest.approx(1.0, abs=1e-10)
-    assert green(k, 0.0, 0.5) == pytest.approx(0.5, abs=1e-10)
-    assert green(k, 0.0, 2.0) == 0.0
-
-
-def test_green_x_outside_interval(bm):
-    k = GreenKernel(0.0, 1.0, bm.scale_function)
-    with pytest.raises(DomainError):
-        green(k, 1.5, 0.5)
-
-
-def test_green_two_infinite_endpoints_invalid(bm):
-    with pytest.raises(DomainError):
-        GreenKernel(-math.inf, math.inf, bm.scale_function)
-
-
-def test_green_symmetric_structure(bm):
-    # G(a,b,x,xi) * (S(b)-S(a)) is symmetric under swapping S(x), S(xi)
-    k = GreenKernel(0.0, 1.0, bm.scale_function)
-    for x, xi in [(0.2, 0.7), (0.9, 0.1), (0.4, 0.4)]:
-        assert green(k, x, xi) == pytest.approx(green(k, xi, x), rel=1e-12)
 
 
 # -- two-sided exit moments ---------------------------------------------------
