@@ -16,18 +16,16 @@ from .quadrature import (QuadratureConfig, QuadratureResult, integrate_finite,
                          integrate_semi_infinite)
 from .simulator import (InitialLaw, RegenerationSample, SimConfig,
                         estimate_constants, estimate_deviation_prob,
-                        estimate_hitting_moment, estimate_hitting_moments,
-                        simulate_path, simulate_paths)
+                        estimate_hitting_moments, simulate_paths)
 
 __all__ = [
     "AssumptionParams", "BoundBreakdown", "DeviationConstants",
     "DeviationReport", "DiffusionModel", "InitialLaw", "MomentTable",
     "QuadratureConfig", "QuadratureResult", "RegenerationSample", "SimConfig",
     "bounded_drift", "brownian", "ergodic_bound_l1", "ergodic_bound_sup",
-    "estimate_constants", "estimate_deviation_prob", "estimate_hitting_moment",
-    "estimate_hitting_moments", "exit_moment_table", "hitting_moment_table", "integrate_finite", "integrate_semi_infinite",
+    "estimate_constants", "estimate_deviation_prob", "estimate_hitting_moments", "exit_moment_table", "hitting_moment_table", "integrate_finite", "integrate_semi_infinite",
     "tail_power_integral", "head_power_integral", "mean_exit_time",
     "moment_lower_bound", "moment_upper_bound", "nt_deviation_bound", "ou",
-    "p_star_bracket", "simulate_path", "simulate_paths",
+    "p_star_bracket", "simulate_paths",
     "simultaneity_check",
 ]

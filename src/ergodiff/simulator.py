@@ -7,6 +7,13 @@ fires on same-side steps (probability exp(-2 d0 d1 / (sigma^2 h))), which
 removes the O(sqrt(h)) barrier-shift bias of pure sign-change detection at
 the cost of one extra uniform stream.
 
+One kernel, ``_euler_cross``, takes the Euler step and finds the crossing
+for both drivers: the hitting driver passes its one or two fixed barriers
+and drops replicas as they hit; the regeneration driver passes one level per
+replica (b while waiting for b, then a) and records each S- and R-event as
+arrays of (replica, time[, cycle integral]) per step, split into
+per-replica samples by one stable sort at the end of a block.
+
 Randomness is counter-based: replica r in block b consumes row (r mod B) of
 per-(seed, block, kind, chunk) Philox streams, so every replica's path is a
 pure function of (seed, replica index) -- independent of how many replicas
@@ -30,9 +37,8 @@ from .quadrature import vectorize_integrand
 __all__ = [
     "InitialLaw", "SimConfig", "RegenerationSample", "BatchResult",
     "Estimate", "MomentEstimates", "HittingEstimate", "EmpiricalDeviation",
-    "simulate_path", "simulate_paths", "estimate_hitting_moment",
-    "estimate_hitting_moments", "estimate_constants",
-    "estimate_deviation_prob", "nu_moment_estimate", "write_samples_csv",
+    "simulate_paths", "estimate_hitting_moments", "estimate_constants",
+    "estimate_deviation_prob", "nu_moment_estimate",
 ]
 
 _BLOCK = 4096       # replicas per stream block (fixed: part of the RNG layout)
@@ -152,25 +158,10 @@ class RegenerationSample:
     r_times: np.ndarray
     s_times: np.ndarray
     cycle_integrals: np.ndarray       # xi_n = int_{R_n}^{R_(n+1)} f, n >= 1
-    cycle_abs_integrals: np.ndarray
-    first_block_integral: float       # int_0^{R_1} f (nan if R_1 censored)
-    first_block_abs: float
+    first_block_abs: float            # int_0^{R_1} |f| (nan if R_1 censored)
     n_t: int
     additive_integral: float          # int_0^horizon f
     horizon: float
-
-    def count_at(self, t: float) -> int:
-        """N_t = #{n : R_n <= t}; inverse to the R_n record by construction."""
-        return int(np.searchsorted(self.r_times, t, side="right"))
-
-    def inverse_identity_holds(self, t_probe) -> bool:
-        """Path-by-path check that {N_t >= n} iff {R_n <= t}."""
-        for t in np.atleast_1d(t_probe):
-            nt = self.count_at(t)
-            for n in range(1, len(self.r_times) + 1):
-                if (nt >= n) != (self.r_times[n - 1] <= t):
-                    return False
-        return True
 
 
 @dataclass
@@ -178,7 +169,6 @@ class BatchResult:
     samples: list
     checkpoints: np.ndarray
     additive_at: np.ndarray    # shape (replicas, n_checkpoints)
-    counts_at: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -247,68 +237,71 @@ def _guard(x: np.ndarray, cfg: SimConfig, label: str):
             "is the model recurrent?")
 
 
+# -- Euler/level-crossing kernel ------------------------------------------------
+
+def _noise(cfg: SimConfig, block: int, n_rep: int):
+    """Yield (step, normal column, uniform column or None) for every step.
+
+    Each Philox chunk is drawn when the driver first reaches it, into one
+    buffer per kind that is refilled in place, so a column is valid only
+    until the driver asks for the next step.
+    """
+    Z = np.empty((n_rep, _CHUNK))
+    U = np.empty((n_rep, _CHUNK)) if cfg.crossing == "bridge" else None
+    for step in range(cfg.n_steps):
+        chunk, j = divmod(step, _CHUNK)
+        if j == 0:
+            _stream(cfg.seed, block, _KIND_NORMAL, chunk).standard_normal(out=Z)
+            if U is not None:
+                _stream(cfg.seed, block, _KIND_UNIFORM, chunk).random(out=U)
+        yield step, Z[:, j], None if U is None else U[:, j]
+
+
+def _euler_cross(model: DiffusionModel, cfg: SimConfig, x: np.ndarray,
+                 z: np.ndarray, u: np.ndarray | None, levels: tuple):
+    """One Euler step from x; returns (xn, theta), where theta is the step
+    fraction of the first crossing of any level (each a float or a per-row
+    array), +inf where there is none.  With uniforms u, a Brownian-bridge
+    test also fires on same-side steps and places that crossing mid-step."""
+    h = cfg.step
+    _guard(x, cfg, model.label)
+    s2 = model.sigma_sq(x)
+    xn = x + model.drift(x) * h + np.sqrt(s2) * math.sqrt(h) * z
+    theta = np.full(x.shape, np.inf)
+    for lvl in levels:
+        d0 = x - lvl
+        d1 = xn - lvl
+        crossed = d0 * d1 <= 0.0
+        if crossed.any():
+            denom = d0 - d1
+            safe = np.where(denom == 0.0, 1.0, denom)
+            frac = np.clip(np.where(denom == 0.0, 0.0, d0 / safe), 0.0, 1.0)
+            theta = np.where(crossed, np.minimum(theta, frac), theta)
+        if u is not None:
+            arg = -2.0 * d0 * d1 / (s2 * h)
+            fired = (~crossed) & (u < np.exp(np.minimum(arg, 0.0)))
+            theta = np.where(fired, np.minimum(theta, 0.5), theta)
+    return xn, theta
+
+
 # -- hitting-time driver -----------------------------------------------------
 
 def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
                barriers: tuple, block: int, n_rep: int) -> np.ndarray:
     h = cfg.step
-    sqh = math.sqrt(h)
-    nsteps = cfg.n_steps
-    bridge = cfg.crossing == "bridge"
-
     X = np.full(n_rep, float(x0))
     idx = np.arange(n_rep)
     hit = np.full(n_rep, np.nan)
-    for lvl in barriers:
-        at0 = X == lvl
-        if at0.any():
-            hit[idx[at0]] = 0.0
-            X, idx = X[~at0], idx[~at0]
-
-    t = 0.0
-    step = 0
-    chunks = (nsteps + _CHUNK - 1) // _CHUNK
-    for chunk in range(chunks):
-        if idx.size == 0 or step >= nsteps:
-            break
-        Z = _stream(cfg.seed, block, _KIND_NORMAL, chunk) \
-            .standard_normal((n_rep, _CHUNK))
-        U = _stream(cfg.seed, block, _KIND_UNIFORM, chunk) \
-            .random((n_rep, _CHUNK)) if bridge else None
-        for j in range(_CHUNK):
-            if step >= nsteps or idx.size == 0:
+    for step, z, u in _noise(cfg, block, n_rep):
+        X, theta = _euler_cross(model, cfg, X, z[idx],
+                                None if u is None else u[idx], barriers)
+        finished = np.isfinite(theta)
+        if finished.any():
+            hit[idx[finished]] = step * h + theta[finished] * h
+            keep = ~finished
+            X, idx = X[keep], idx[keep]
+            if idx.size == 0:
                 break
-            x = X
-            _guard(x, cfg, model.label)
-            s2 = model.sigma_sq(x)
-            xn = x + model.drift(x) * h + np.sqrt(s2) * sqh * Z[idx, j]
-            theta = np.full(x.shape, np.inf)
-            for lvl in barriers:
-                d0 = x - lvl
-                d1 = xn - lvl
-                crossed = d0 * d1 <= 0.0
-                if crossed.any():
-                    denom = d0 - d1
-                    safe = np.where(denom == 0.0, 1.0, denom)
-                    frac = np.clip(np.where(denom == 0.0, 0.0, d0 / safe),
-                                   0.0, 1.0)
-                    theta = np.where(crossed, np.minimum(theta, frac), theta)
-                if bridge:
-                    arg = -2.0 * d0 * d1 / (s2 * h)
-                    p_cross = np.exp(np.minimum(arg, 0.0))
-                    fired = (~crossed) & (U[idx, j] < p_cross)
-                    if fired.any():
-                        theta = np.where(fired, np.minimum(theta, 0.5), theta)
-            finished = np.isfinite(theta)
-            if finished.any():
-                hit[idx[finished]] = t + theta[finished] * h
-                keep = ~finished
-                X = xn[keep]
-                idx = idx[keep]
-            else:
-                X = xn
-            step += 1
-            t = step * h
     return hit
 
 
@@ -321,13 +314,19 @@ def _simulate_hitting_times(model: DiffusionModel, cfg: SimConfig, x0: float,
 
 # -- regeneration driver -----------------------------------------------------
 
+def _split_by_replica(replica: list, n_rep: int, *columns: list) -> list:
+    """Per-replica arrays from event records appended in step order."""
+    rep = np.concatenate(replica) if replica else np.zeros(0, dtype=np.int64)
+    order = np.argsort(rep, kind="stable")
+    cuts = np.cumsum(np.bincount(rep, minlength=n_rep))[:-1]
+    return [np.split(np.concatenate(col)[order] if col else np.zeros(0), cuts)
+            for col in columns]
+
+
 def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
                  n_rep: int, cp_steps: np.ndarray,
                  max_cycles: int | None):
     h = cfg.step
-    sqh = math.sqrt(h)
-    nsteps = cfg.n_steps
-    bridge = cfg.crossing == "bridge"
     fv = vectorize_integrand(f)
 
     X = cfg.initial.sample(_stream(cfg.seed, block, _KIND_INITIAL, 0), n_rep)
@@ -335,106 +334,61 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     phase = np.zeros(n_rep, dtype=np.int8)   # 0: waiting for b, 1: waiting for a
     cum_f = np.zeros(n_rep)
     cum_fabs = np.zeros(n_rep)
-    anchor_f = np.zeros(n_rep)
-    anchor_fabs = np.zeros(n_rep)
-    r_times = [[] for _ in range(n_rep)]
-    s_times = [[] for _ in range(n_rep)]
-    cyc_f = [[] for _ in range(n_rep)]
-    cyc_fabs = [[] for _ in range(n_rep)]
-    first_f = np.full(n_rep, np.nan)
+    anchor_f = np.zeros(n_rep)                # int_0^{R_n} f at the last R_n
     first_fabs = np.full(n_rep, np.nan)
+    n_r = np.zeros(n_rep, dtype=np.int64)
+    s_rep, s_time = [], []                    # S-event records
+    r_rep, r_time, r_cyc = [], [], []         # R-event records
     additive = np.zeros((n_rep, cp_steps.size))
-    counts = np.zeros((n_rep, cp_steps.size), dtype=np.int64)
     cp_lookup = {int(s): i for i, s in enumerate(cp_steps)}
 
-    t = 0.0
-    step = 0
-    chunks = (nsteps + _CHUNK - 1) // _CHUNK
-    for chunk in range(chunks):
-        if step >= nsteps or (idx.size == 0 and not cp_lookup):
-            break
-        if idx.size:
-            Z = _stream(cfg.seed, block, _KIND_NORMAL, chunk) \
-                .standard_normal((n_rep, _CHUNK))
-            U = _stream(cfg.seed, block, _KIND_UNIFORM, chunk) \
-                .random((n_rep, _CHUNK)) if bridge else None
-        for j in range(_CHUNK):
-            if step >= nsteps:
-                break
-            if idx.size:
-                x = X
-                _guard(x, cfg, model.label)
-                s2 = model.sigma_sq(x)
-                xn = x + model.drift(x) * h + np.sqrt(s2) * sqh * Z[idx, j]
-                fx = fv(x)
-                fax = np.abs(fx)
-                level = np.where(phase == 0, cfg.b, cfg.a)
-                d0 = x - level
-                d1 = xn - level
-                crossed = d0 * d1 <= 0.0
-                denom = d0 - d1
-                safe = np.where(denom == 0.0, 1.0, denom)
-                theta = np.where(crossed,
-                                 np.clip(np.where(denom == 0.0, 0.0, d0 / safe),
-                                         0.0, 1.0),
-                                 np.inf)
-                if bridge:
-                    arg = -2.0 * d0 * d1 / (s2 * h)
-                    fired = (~crossed) & (U[idx, j] < np.exp(np.minimum(arg, 0.0)))
-                    theta = np.where(fired, 0.5, theta)
-                events = np.nonzero(np.isfinite(theta))[0]
-                drop = []
-                for i in events:
-                    g = int(idx[i])
-                    te = t + theta[i] * h
-                    if phase[i] == 0:
-                        s_times[g].append(te)
-                        phase[i] = 1
-                    else:
-                        pf = cum_f[g] + fx[i] * theta[i] * h
-                        pfa = cum_fabs[g] + fax[i] * theta[i] * h
-                        if r_times[g]:
-                            cyc_f[g].append(pf - anchor_f[g])
-                            cyc_fabs[g].append(pfa - anchor_fabs[g])
-                        else:
-                            first_f[g] = pf
-                            first_fabs[g] = pfa
-                        r_times[g].append(te)
-                        anchor_f[g] = pf
-                        anchor_fabs[g] = pfa
-                        phase[i] = 0
-                        if max_cycles is not None \
-                                and len(r_times[g]) >= max_cycles:
-                            drop.append(i)
-                cum_f[idx] += fx * h
-                cum_fabs[idx] += fax * h
-                X = xn
-                if drop:
-                    keep = np.ones(idx.size, dtype=bool)
-                    keep[drop] = False
-                    X, idx, phase = X[keep], idx[keep], phase[keep]
-            step += 1
-            t = step * h
-            ci = cp_lookup.get(step)
-            if ci is not None:
-                additive[:, ci] = cum_f
-                for g in range(n_rep):
-                    counts[g, ci] = len(r_times[g])
+    for step, z, u in _noise(cfg, block, n_rep):
+        xn, theta = _euler_cross(model, cfg, X, z[idx],
+                                 None if u is None else u[idx],
+                                 (np.where(phase == 0, cfg.b, cfg.a),))
+        fx = fv(X)
+        fax = np.abs(fx)
+        pos = np.nonzero(np.isfinite(theta))[0]
+        if pos.size:
+            te = step * h + theta[pos] * h
+            at_b = phase[pos] == 0
+            s_rep.append(idx[pos[at_b]])
+            s_time.append(te[at_b])
+            pr = pos[~at_b]
+            g = idx[pr]
+            pf = cum_f[g] + fx[pr] * theta[pr] * h
+            pfa = cum_fabs[g] + fax[pr] * theta[pr] * h
+            first = n_r[g] == 0
+            first_fabs[g[first]] = pfa[first]
+            r_rep.append(g)
+            r_time.append(te[~at_b])
+            r_cyc.append(pf - anchor_f[g])    # at R_1: the first block
+            anchor_f[g] = pf
+            n_r[g] += 1
+            phase[pos] ^= 1
+        cum_f[idx] += fx * h
+        cum_fabs[idx] += fax * h
+        X = xn
+        if max_cycles is not None and pos.size:
+            keep = np.ones(idx.size, dtype=bool)
+            keep[pr[n_r[g] >= max_cycles]] = False
+            if not keep.all():
+                X, idx, phase = X[keep], idx[keep], phase[keep]
+                if idx.size == 0:
+                    break
+        ci = cp_lookup.get(step + 1)
+        if ci is not None:
+            additive[:, ci] = cum_f
 
-    samples = []
-    for g in range(n_rep):
-        samples.append(RegenerationSample(
-            r_times=np.asarray(r_times[g]),
-            s_times=np.asarray(s_times[g]),
-            cycle_integrals=np.asarray(cyc_f[g]),
-            cycle_abs_integrals=np.asarray(cyc_fabs[g]),
-            first_block_integral=float(first_f[g]),
-            first_block_abs=float(first_fabs[g]),
-            n_t=len(r_times[g]),
-            additive_integral=float(cum_f[g]),
-            horizon=cfg.horizon,
-        ))
-    return samples, additive, counts
+    s_times, = _split_by_replica(s_rep, n_rep, s_time)
+    r_times, cycles = _split_by_replica(r_rep, n_rep, r_time, r_cyc)
+    samples = [RegenerationSample(
+        r_times=r_times[g], s_times=s_times[g],
+        cycle_integrals=cycles[g][1:],        # drop the first block
+        first_block_abs=float(first_fabs[g]), n_t=int(n_r[g]),
+        additive_integral=float(cum_f[g]), horizon=cfg.horizon)
+        for g in range(n_rep)]
+    return samples, additive
 
 
 def simulate_paths(model: DiffusionModel, cfg: SimConfig, f,
@@ -443,7 +397,7 @@ def simulate_paths(model: DiffusionModel, cfg: SimConfig, f,
     """Simulate cfg.replicas regeneration paths; see RegenerationSample.
 
     ``checkpoints`` are times (snapped to the step grid) at which the running
-    additive integral and cycle count are recorded for every replica.
+    additive integral is recorded for every replica.
     ``max_cycles`` freezes a replica once it has recorded that many R-events
     (an efficiency device for first-block and cycle-law estimation).
     """
@@ -457,16 +411,9 @@ def simulate_paths(model: DiffusionModel, cfg: SimConfig, f,
     parts = _run_blocks(
         lambda bid, cnt: _regen_block(model, cfg, f, bid, cnt, cp_steps,
                                       max_cycles), cfg)
-    samples = [s for block_samples, _, _ in parts for s in block_samples]
+    samples = [s for block_samples, _ in parts for s in block_samples]
     additive = np.vstack([p[1] for p in parts]) if parts else np.zeros((0, 0))
-    counts = np.vstack([p[2] for p in parts]) if parts else np.zeros((0, 0))
-    return BatchResult(samples, cp_steps * cfg.step, additive, counts)
-
-
-def simulate_path(model: DiffusionModel, cfg: SimConfig, f) -> RegenerationSample:
-    """Single-path convenience wrapper: replica 0 of the batch layout."""
-    one = replace(cfg, replicas=1)
-    return simulate_paths(model, one, f).samples[0]
+    return BatchResult(samples, cp_steps * cfg.step, additive)
 
 
 # -- estimators ---------------------------------------------------------------
@@ -481,27 +428,16 @@ def _batch_se(values: np.ndarray, n_batches: int = 32) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(nb))
 
 
-def estimate_hitting_moment(model: DiffusionModel, cfg: SimConfig, x0: float,
-                            target: float, order: int,
-                            second_target: float | None = None
-                            ) -> HittingEstimate:
-    """Monte Carlo E_x0 T^order for the hit of ``target`` (or the two-sided
-    exit when ``second_target`` is given).
+def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
+                             target: float, orders, second_target=None
+                             ) -> list[HittingEstimate]:
+    """Monte Carlo E_x0 T^k for each k in ``orders``, from one shared
+    sample of hitting times of ``target`` (or of the two-sided exit when
+    ``second_target`` is given).
 
     Censored replicas (no hit by the horizon) are excluded and reported; a
     censored fraction at or above 50% raises ExcessCensoringError.
     """
-    if order < 1:
-        raise DomainError("order must be >= 1")
-    ests = estimate_hitting_moments(model, cfg, x0, target, (order,),
-                                    second_target)
-    return ests[0]
-
-
-def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
-                             target: float, orders, second_target=None
-                             ) -> list[HittingEstimate]:
-    """Shared-sample estimates for several moment orders at once."""
     orders = [int(k) for k in orders]
     if any(k < 1 for k in orders):
         raise DomainError("orders must be >= 1")
@@ -582,9 +518,16 @@ def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
     gap_p_first = gap12 ** p
 
     xi_mean = float(np.mean(all_cycles_f))
-    xi_se = _batch_se(all_cycles_f)
     mu_hat = xi_mean * l_hat
-    mu_se = math.hypot(xi_se * l_hat, xi_mean * l_se)
+    # delta-method residuals of the ratio estimator, which keep the
+    # covariance of cycle integral and cycle count (Asmussen & Glynn,
+    # Stochastic Simulation, IV.4)
+    a_r = np.array([np.sum(s.cycle_integrals) for s in samples])
+    c_r = np.array([s.cycle_integrals.size for s in samples], dtype=float)
+    n_bar = float(np.mean(n_t))
+    resid = n_bar / (float(np.mean(c_r)) * cfg.horizon) \
+        * (a_r - xi_mean * c_r) + xi_mean / cfg.horizon * (n_t - n_bar)
+    mu_se = _batch_se(resid)
 
     # cycle-integral constant over a start grid in supp f; skipped when the
     # caller sets support_grid_points=0 (bounds that do not need it)
@@ -676,28 +619,3 @@ def nu_moment_estimate(law: InitialLaw, exponent: float, n: int = 20000,
     vals = np.abs(xs) ** exponent
     return Estimate(float(np.mean(vals)), _batch_se(vals))
 
-
-def write_samples_csv(samples, path, header_extra: str = "") -> None:
-    """One row per completed cycle with per-replica summary columns."""
-    import csv as _csv
-    with open(path, "w", newline="") as fh:
-        if header_extra:
-            fh.write(f"# {header_extra}\n")
-        w = _csv.writer(fh)
-        w.writerow(["replica", "cycle", "r_time", "cycle_integral",
-                    "n_t", "additive_integral", "first_block_integral"])
-        for g, s in enumerate(samples):
-            if len(s.r_times) == 0:
-                w.writerow([g, "", "", "", s.n_t,
-                            repr(s.additive_integral), ""])
-                continue
-            for ci, rt in enumerate(s.r_times):
-                xi = s.cycle_integrals[ci - 1] if 1 <= ci <= len(s.cycle_integrals) \
-                    else ""
-                w.writerow([
-                    g, ci, repr(float(rt)),
-                    repr(float(xi)) if xi != "" else "",
-                    s.n_t, repr(s.additive_integral),
-                    repr(s.first_block_integral)
-                    if math.isfinite(s.first_block_integral) else "",
-                ])

@@ -9,10 +9,8 @@ from ergodiff.errors import (ConfigError, DomainError, ExcessCensoringError,
                              InsufficientCyclesError)
 from ergodiff.simulator import (InitialLaw, SimConfig, estimate_constants,
                                 estimate_deviation_prob,
-                                estimate_hitting_moment,
                                 estimate_hitting_moments, nu_moment_estimate,
-                                simulate_path, simulate_paths,
-                                write_samples_csv)
+                                simulate_paths)
 
 INDICATOR = lambda x: np.where(np.abs(np.asarray(x)) <= 0.5, 1.0, 0.0)
 
@@ -51,16 +49,18 @@ def test_initial_law_coercion_and_sampling():
 
 def test_additive_integral_of_one_is_time():
     m = ou(1.0)
-    s = simulate_path(m, _cfg(horizon=5.0), lambda x: np.ones_like(x))
+    s = simulate_paths(m, _cfg(horizon=5.0, replicas=1),
+                       lambda x: np.ones_like(x)).samples[0]
     assert s.additive_integral == pytest.approx(5.0, abs=1e-9)
 
 
 def test_inverse_process_identity_every_sample():
     m = ou(1.0)
+    # {N_t >= n} iff {R_n <= t} holds exactly when R_n is nondecreasing and
+    # N_t counts the recorded R_n
     batch = simulate_paths(m, _cfg(replicas=40, horizon=30.0), INDICATOR)
-    probes = np.linspace(0.5, 30.0, 13)
     for s in batch.samples:
-        assert s.inverse_identity_holds(probes)
+        assert np.all(np.diff(s.r_times) >= 0.0)
         assert s.n_t == len(s.r_times)
 
 
@@ -81,20 +81,20 @@ def test_degenerate_sigma_raises_domain_error():
     bad = DiffusionModel(lambda x: np.zeros_like(x),
                          lambda x: np.zeros_like(x), label="flat")
     with pytest.raises(DomainError):
-        simulate_path(bad, _cfg(horizon=1.0), INDICATOR)
+        simulate_paths(bad, _cfg(horizon=1.0, replicas=1), INDICATOR)
 
 
 def test_hitting_trivial_at_target():
     m = ou(1.0)
-    est = estimate_hitting_moment(m, _cfg(replicas=50), 0.5, 0.5, 1)
+    est = estimate_hitting_moments(m, _cfg(replicas=50), 0.5, 0.5, (1,))[0]
     assert est.estimate == 0.0 and est.stderr == 0.0
 
 
 def test_excess_censoring():
     m = ou(1.0)
     with pytest.raises(ExcessCensoringError):
-        estimate_hitting_moment(m, _cfg(horizon=0.05, replicas=100),
-                                0.0, 3.5, 1)
+        estimate_hitting_moments(m, _cfg(horizon=0.05, replicas=100),
+                                 0.0, 3.5, (1,))
 
 
 def test_brownian_exit_moments_vs_closed_forms():
@@ -112,7 +112,8 @@ def test_ou_exit_mean_vs_quadrature():
     m = ou(1.0)
     cfg = _cfg(replicas=4000, horizon=15.0, a=-1.0, b=1.0, initial=0.0,
                crossing="bridge", seed=13)
-    est = estimate_hitting_moment(m, cfg, 0.0, -1.0, 1, second_target=1.0)
+    est = estimate_hitting_moments(m, cfg, 0.0, -1.0, (1,),
+                                   second_target=1.0)[0]
     assert abs(est.estimate - mean_exit_time(m, -1.0, 1.0, 0.0)) \
         <= 3.0 * est.stderr
 
@@ -122,8 +123,8 @@ def test_step_halving_stability():
     # combined statistical resolution
     m = ou(1.0)
     kw = dict(replicas=4000, horizon=15.0, crossing="bridge", initial=0.5)
-    e1 = estimate_hitting_moment(m, _cfg(step=2e-3, **kw), 0.5, 0.0, 1)
-    e2 = estimate_hitting_moment(m, _cfg(step=1e-3, **kw), 0.5, 0.0, 1)
+    e1 = estimate_hitting_moments(m, _cfg(step=2e-3, **kw), 0.5, 0.0, (1,))[0]
+    e2 = estimate_hitting_moments(m, _cfg(step=1e-3, **kw), 0.5, 0.0, (1,))[0]
     assert abs(e1.estimate - e2.estimate) <= 2.0 * (e1.stderr + e2.stderr)
 
 
@@ -184,8 +185,8 @@ def test_numerical_blowup_guard():
                              label="outward")
     from ergodiff.errors import NumericalBlowupError
     with pytest.raises(NumericalBlowupError):
-        simulate_path(outward, _cfg(horizon=20.0, initial=5.0,
-                                    blowup_guard=1e4), INDICATOR)
+        simulate_paths(outward, _cfg(horizon=20.0, initial=5.0, replicas=1,
+                                     blowup_guard=1e4), INDICATOR)
 
 
 def test_monte_carlo_matches_recursion_fifth_point():
@@ -271,12 +272,78 @@ def test_nu_moment_estimate():
     assert est.value == pytest.approx(0.5, abs=4 * est.se + 1e-3)
 
 
-def test_samples_csv(tmp_path):
+
+@pytest.mark.parametrize("seed", [9, 10, 11])
+def test_invariant_average_se_keeps_cycle_covariance(seed):
+    # with f = 1 the cycle integral is the cycle length, so mu_f = 1 and the
+    # ratio estimator's error is far below that of treating the cycle mean
+    # and the cycle rate as independent
     m = ou(1.0)
-    batch = simulate_paths(m, _cfg(replicas=5, horizon=20.0), INDICATOR)
-    path = tmp_path / "samples.csv"
-    write_samples_csv(batch.samples, path, header_extra="unit test")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# unit test"
-    assert lines[1].startswith("replica,cycle,")
-    assert len(lines) > 3
+    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    est = estimate_constants(m, _cfg(replicas=64, horizon=60.0, seed=seed),
+                             one, 2.0, support_grid_points=0)
+    independent = math.hypot(est.mean_cycle_time.se * est.l_hat.value,
+                             est.mean_cycle_time.value * est.l_hat.se)
+    assert est.mu_f_hat.se < 0.5 * independent
+
+
+# Simulator outputs recorded with ergodiff 0.1.0 (x86-64, NumPy 2.4); they
+# pin the paths across versions, where criterion 9 only compares reruns of
+# one version.  rel=1e-12 leaves room for ulp-level differences in exp
+# between CPUs and libms.
+PINNED_HITTING = {
+    # (crossing, x0): (E T, its stderr, E T^2, replicas used)
+    ("interpolate", 0.5): (0.7726404641996053, 0.013487715735510391,
+                           1.3839435264736855, 4500),
+    ("interpolate", 0.0): (1.6276223156158016, 0.020552449512619246,
+                           4.589046640919113, 4495),
+    ("bridge", 0.5): (0.7009873731771546, 0.012973962797962656,
+                      1.190894256691037, 4500),
+    ("bridge", 0.0): (1.452393019956152, 0.0171193203172575,
+                      3.6465971871670684, 4497),
+}
+PINNED_REGENERATION = {
+    # (crossing, run): (sum r_times, sum cycle_integrals, sum additive_at,
+    #                   sum of finite first_block_abs)
+    ("interpolate", "checkpoints"): (3523.6518104024863, 701.8818589577877,
+                                     2455.9199999999614, 520.0903435401203),
+    ("interpolate", "max_cycles"): (2255.5329762564206, 437.9569949156511,
+                                    0.0, 520.0903435401203),
+    ("bridge", "checkpoints"): (3890.1802785100786, 773.273420303304,
+                                2455.9199999999614, 470.4324912137688),
+    ("bridge", "max_cycles"): (2174.2774395409447, 432.5273455182073,
+                               0.0, 470.4324912137688),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_HITTING),
+                         ids=lambda k: f"{k[0]}-x0={k[1]:g}")
+def test_pinned_hitting_outputs(key):
+    # 4500 replicas: one full RNG block and a partial one; x0 = 0 is the
+    # two-sided exit from (-1, 1), x0 = 0.5 the hit of 0
+    crossing, x0 = key
+    cfg = _cfg(step=5e-3, horizon=10.0, replicas=4500, seed=21,
+               crossing=crossing)
+    second = 1.0 if x0 == 0.0 else None
+    e1, e2 = estimate_hitting_moments(ou(1.0), cfg, x0, -1.0 if second else 0.0,
+                                      (1, 2), second)
+    mean, se, second_moment, used = PINNED_HITTING[key]
+    assert e1.estimate == pytest.approx(mean, rel=1e-12)
+    assert e1.stderr == pytest.approx(se, rel=1e-12)
+    assert e2.estimate == pytest.approx(second_moment, rel=1e-12)
+    assert e1.n_used == used
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_REGENERATION), ids="-".join)
+def test_pinned_regeneration_outputs(key):
+    crossing, run = key
+    cfg = _cfg(step=5e-3, horizon=10.0, replicas=300, seed=22,
+               crossing=crossing)
+    kw = dict(checkpoints=[5.0, 10.0]) if run == "checkpoints" \
+        else dict(max_cycles=2)
+    batch = simulate_paths(ou(1.0), cfg, INDICATOR, **kw)
+    fb = np.array([s.first_block_abs for s in batch.samples])
+    got = (np.sum(np.concatenate([s.r_times for s in batch.samples])),
+           np.sum(np.concatenate([s.cycle_integrals for s in batch.samples])),
+           np.sum(batch.additive_at), np.sum(fb[np.isfinite(fb)]))
+    assert got == pytest.approx(PINNED_REGENERATION[key], rel=1e-12)
