@@ -4,9 +4,9 @@ polynomial deviation-inequality constants.
 
 The deviation constants are assembled term by term from the probability
 decomposition behind the inequalities (first-block term A, martingale term
-B, boundary-block term C, counting-process term D, and for the L1 variant a
-vanishing term E), each evaluated at its displayed coefficient.  The total
-bound is their sum; the per-term breakdown is retained for reporting.
+B, boundary-block term C and counting-process term D), each evaluated at its
+displayed coefficient.  The total bound is their sum; the per-term breakdown
+is retained for reporting.
 """
 
 from __future__ import annotations
@@ -249,11 +249,7 @@ class DeviationConstants:
 class BoundBreakdown:
     total: float
     terms: dict
-    regime: str  # "p>=2" | "1<p<2" | "inadmissible"
-
-    @classmethod
-    def inadmissible(cls, reason: str) -> "BoundBreakdown":
-        return cls(math.nan, {"reason": reason}, "inadmissible")
+    regime: str  # "p>=2" | "1<p<2"
 
 
 @dataclass(frozen=True)
@@ -362,11 +358,10 @@ def ergodic_bound_l1(c: DeviationConstants, t: float, eps: float,
     term_a = pf * c_f ** p * (4.0 / eps) ** p * t ** (-p / 2)
     term_b = (8.0 ** p * c.c_p ** p * (c.l * (1 + delta / 4)) ** (p / 2)
               * (pf + 1.0) * c_f ** p * eps ** (-p) * t ** (-p / 2))
-    term_e = 0.0
     term_c = (c.l * (1 + delta / 4) * pf * c_f ** p * 4.0 ** p
               * eps ** (-p) * t ** (-(p - 1)))
     term_d = nt_deviation_bound(c, t, delta / 4.0)
-    terms = {"A": term_a, "B": term_b, "E": term_e, "C": term_c, "D": term_d}
+    terms = {"A": term_a, "B": term_b, "C": term_c, "D": term_d}
     return BoundBreakdown(sum(terms.values()), terms, "p>=2")
 
 

@@ -104,13 +104,7 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
                                  cfg.x_grid, cfg.orders,
                                  probe_limit=cfg.probe_limit)
     path = _out_path(cfg, "moments.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(_header(cfg) + "\n")
-        w = csv.writer(fh)
-        w.writerow(["x", "order", "value"])
-        for k in range(table.values.shape[0]):
-            for x, v in zip(table.x_grid, table.values[k]):
-                w.writerow([_fmt(float(x)), k, _fmt(float(v))])
+    table.to_csv(path, header=_header(cfg))
     print(f"wrote {path}")
     check = simultaneity_check(table) if cfg.x_grid.size >= 3 else None
     if check is not None and not check.ok:
@@ -271,7 +265,7 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
         ph.write(_header(cfg) + "\n")
         w = csv.writer(fh)
         w.writerow(["t", "eps", "empirical", "halfwidth", "bound",
-                    "term_a", "term_b", "term_c", "term_d", "term_e",
+                    "term_a", "term_b", "term_c", "term_d",
                     "bound_plus_se", "regime", "kind"])
         last_key = None
         for rep, bound_hi in zip(reports, uncertainty):
@@ -291,7 +285,6 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
                 _fmt(rep.terms.get("B", math.nan)),
                 _fmt(rep.terms.get("C", math.nan)),
                 _fmt(rep.terms.get("D", math.nan)),
-                _fmt(rep.terms.get("E", 0.0)) if rep.kind == "l1" else "",
                 "nan" if math.isnan(bound_hi) else _fmt(bound_hi),
                 rep.regime, rep.kind,
             ])
@@ -311,13 +304,11 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
 
 def cmd_selftest(out_dir: str | None) -> int:
     """Fast internal checks; prints one line per check."""
-    import numpy as _np
-
     from .bounds import tail_power_integral, head_power_integral
     from .diffusion import brownian, ou
     from .kac import mean_exit_time
     from .quadrature import integrate_finite
-    from .simulator import SimConfig, estimate_constants as _ec
+    from .simulator import SimConfig
 
     failures = 0
 
@@ -330,12 +321,12 @@ def cmd_selftest(out_dir: str | None) -> int:
     check("quadrature x^2 on [0,1]", abs(r.value - 1.0 / 3.0) < 1e-10)
 
     bm = brownian()
-    xs = _np.linspace(0.0, 1.0, 9)
+    xs = np.linspace(0.0, 1.0, 9)
     errs = [abs(mean_exit_time(bm, 0.0, 1.0, float(x)) - x * (1 - x))
             for x in xs]
     check("driftless exit oracle", max(errs) < 1e-8)
 
-    rng = _np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     ok = True
     for _ in range(25):
         q = rng.uniform(1.5, 6.0)
@@ -352,7 +343,8 @@ def cmd_selftest(out_dir: str | None) -> int:
     m = ou(1.0)
     cfg = SimConfig(step=2e-3, horizon=80.0, replicas=40, seed=123,
                     a=-0.5, b=0.5, initial=0.0)
-    est = _ec(m, cfg, lambda x: _np.where(_np.abs(x) <= 0.5, 1.0, 0.0), 2.0)
+    est = estimate_constants(
+        m, cfg, lambda x: np.where(np.abs(x) <= 0.5, 1.0, 0.0), 2.0)
     prod = est.l_hat.value * est.mean_cycle_time.value
     check("cycle-rate identity l*E_a R1 ~ 1", abs(prod - 1.0) < 0.1)
 

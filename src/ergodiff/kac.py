@@ -1,17 +1,20 @@
-"""Hitting/exit-time moments by the iterated moment recursion: the order-k
-moment curve is the integral of the order-(k-1) curve against the Green
-kernel and the speed density, taken as running integrals along a grid.
+"""Hitting/exit-time moments by the generalized Kac recursion: the order-k
+moment curve is k times the integral of the order-(k-1) curve against the
+Green kernel and the speed density, taken as running integrals along a grid.
 
-Two-sided exit moments are always finite and are built on a shared internal
-grid, interpolating each order's curve (shape-preserving cubic) inside the
-next order's quadrature; the grid doubles until the requested values settle.
+Exit and hitting tables share one recursion.  The one-sided kernel is the
+two-sided one with S(b) sent to infinity, so with rho = S(b) - S on (a, b)
+and rho = 1 on the ray [a, inf)
 
-One-sided hitting moments additionally need the previous curve on an
-unbounded ray.  The curve is computed up to a horizon L, its tail modeled by
-the leading power law fitted on the last decade of the grid (log-log
-regression), and the tail integral of (modeled curve) * m decides finiteness:
-a divergent tail at order k makes the whole order-k row +infinity, and every
-higher order inherits +infinity without further quadrature.
+    u_k = k [rho P + (S - S(a)) Q] / rho(a),
+    P(x) = int_a^x (S - S(a)) u_{k-1} m,   Q(x) = int_x^end rho u_{k-1} m.
+
+Each curve is interpolated (shape-preserving cubic) inside the next order's
+quadrature, and the grid doubles until the requested values settle.  On the
+ray the grid stops at a horizon L and Q adds the tail beyond it: the leading
+power law fitted on the last decade of the grid (log-log regression) times
+m.  A divergent tail at order k makes that row and every higher one +inf.
+Hitting from below reflects the model through the target.
 """
 
 from __future__ import annotations
@@ -68,16 +71,19 @@ class MomentTable:
     def order(self, k: int) -> np.ndarray:
         return self.values[k]
 
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, header: str | None = None) -> None:
+        """``x,order,value`` rows below one ``#`` line, by default naming
+        the kind, boundary and model hash."""
+        if header is None:
+            header = (f"# kind={self.kind} boundary={self.boundary} "
+                      f"model={self.model_hash}")
         with open(path, "w", newline="") as fh:
-            fh.write(f"# kind={self.kind} boundary={self.boundary} "
-                     f"model={self.model_hash}\n")
+            fh.write(header + "\n")
             writer = csv.writer(fh)
             writer.writerow(["x", "order", "value"])
-            for k in range(self.values.shape[0]):
-                for x, v in zip(self.x_grid, self.values[k]):
-                    writer.writerow([repr(float(x)), k,
-                                     "inf" if math.isinf(v) else repr(float(v))])
+            for k, row in enumerate(self.values):
+                for x, v in zip(self.x_grid, row):
+                    writer.writerow([repr(float(x)), k, repr(float(v))])
 
 
 @dataclass(frozen=True)
@@ -116,48 +122,13 @@ def exit_moment_table(model: DiffusionModel, a: float, b: float,
     xs = np.asarray(x_grid, dtype=float)
     if np.any(xs < a) or np.any(xs > b):
         raise DomainError("x_grid must lie inside [a, b]")
-
     grid = np.unique(np.concatenate([np.linspace(a, b, 129), xs]))
-    prev_extract = None
-    for round_ in range(_MAX_REFINEMENTS + 1):
-        curves = _exit_curves(model, grid, n)
-        idx = np.searchsorted(grid, xs)
-        extract = np.stack([c[idx] for c in curves])
-        if prev_extract is not None:
-            scale = np.abs(prev_extract) + 1e-12
-            if float(np.max(np.abs(extract - prev_extract) / scale)) < rel_tol:
-                return MomentTable("two_sided", (a, b), xs, extract,
-                                   model.model_hash())
-        prev_extract = extract
-        if round_ < _MAX_REFINEMENTS:
-            mids = 0.5 * (grid[:-1] + grid[1:])
-            grid = np.unique(np.concatenate([grid, mids]))
-    raise InterpolationError(
-        f"exit table did not settle to rel tol {rel_tol:g} after "
-        f"{_MAX_REFINEMENTS} grid doublings")
-
-
-def _exit_curves(model: DiffusionModel, grid: np.ndarray, n: int) -> list[np.ndarray]:
-    S = model.scale_function
-    m = model.speed_density_fn()
-    sg = S(grid)
-    sa, sb = sg[0], sg[-1]
-    curves = [np.ones_like(grid)]
-    for k in range(1, n + 1):
-        prev = _interpolant(grid, curves[-1])
-        wp = lambda t: (S(t) - sa) * prev(t) * m(t)
-        wq = lambda t: (sb - S(t)) * prev(t) * m(t)
-        P = cumulative_panels(wp, grid, model.quad.rel_tol, model.quad.abs_tol)
-        Qc = cumulative_panels(wq, grid, model.quad.rel_tol, model.quad.abs_tol)
-        Q = Qc[-1] - Qc
-        vals = k * ((sb - sg) * P + (sg - sa) * Q) / (sb - sa)
-        curves.append(vals)
-    return curves
+    values, _ = _settle(model, grid, xs, n, rel_tol, two_sided=True)
+    return MomentTable("two_sided", (a, b), xs, values, model.model_hash())
 
 
 def hitting_moment_table(model: DiffusionModel, target: float, side: str,
                          x_grid, n: int, rel_tol: float = 1e-7,
-                         tail_factor: float = _TAIL_FACTOR,
                          probe_limit: float = 1e6) -> MomentTable:
     """One-sided hitting moments E_x T_target^k for k = 0..n.
 
@@ -179,49 +150,52 @@ def hitting_moment_table(model: DiffusionModel, target: float, side: str,
         raise NotPositiveRecurrentError(
             f"{model.label} is {report.classification}")
 
+    walker, starts = model, xs
     if side == FROM_BELOW:
         # reflect through the target: Y = 2c - X has drift -beta(2c - y) and
         # the same hitting time of c from above
         c = target
-        mirror = DiffusionModel(
+        walker = DiffusionModel(
             lambda y: -model.drift(2.0 * c - np.asarray(y, dtype=float)),
             lambda y: model.sigma(2.0 * c - np.asarray(y, dtype=float)),
             label=f"mirror[{model.label}]", anchor=0.0, quad=model.quad)
-        tbl = hitting_moment_table(mirror, c, FROM_ABOVE, 2.0 * c - xs, n,
-                                   rel_tol, tail_factor, probe_limit)
-        # columns of tbl correspond positionally to the caller's grid
-        return MomentTable(FROM_BELOW, (target,), xs, tbl.values,
-                           model.model_hash(), tbl.tail_fits)
+        starts = 2.0 * c - xs
+    grid = _hitting_grid(walker, float(target), starts)
+    values, fits = _settle(walker, grid, starts, n, rel_tol, two_sided=False)
+    return MomentTable(side, (target,), xs, values, model.model_hash(),
+                       tuple(fits))
 
-    a = float(target)
-    grid = _hitting_grid(model, a, xs, tail_factor)
-    prev_extract = None
+
+def _settle(model: DiffusionModel, grid: np.ndarray, xs: np.ndarray, n: int,
+            rel_tol: float, two_sided: bool) -> tuple[np.ndarray, list]:
+    """Doubles the grid until the values at ``xs`` settle: +inf in the same
+    places as the round before and every other value within ``rel_tol``."""
+    prev = None
     for round_ in range(_MAX_REFINEMENTS + 1):
-        curves, fits = _hitting_curves(model, a, grid, n)
+        curves, fits = _curves(model, grid, n, two_sided)
         idx = np.searchsorted(grid, xs)
         extract = np.stack([c[idx] for c in curves])
-        if prev_extract is not None:
-            finite = np.isfinite(extract) & np.isfinite(prev_extract)
-            if np.array_equal(np.isfinite(extract), np.isfinite(prev_extract)):
-                scale = np.abs(prev_extract[finite]) + 1e-12
-                change = 0.0 if not finite.any() else float(
-                    np.max(np.abs(extract[finite] - prev_extract[finite]) / scale))
-                if change < rel_tol:
-                    return MomentTable(FROM_ABOVE, (target,), xs, extract,
-                                       model.model_hash(), tuple(fits))
-        prev_extract = extract
+        if prev is not None and np.array_equal(np.isinf(extract),
+                                               np.isinf(prev)):
+            kept = ~np.isinf(extract)
+            scale = np.abs(prev[kept]) + 1e-12
+            change = float(np.max(np.abs(extract[kept] - prev[kept]) / scale,
+                                  initial=0.0))
+            if change < rel_tol:
+                return extract, fits
+        prev = extract
         if round_ < _MAX_REFINEMENTS:
             mids = 0.5 * (grid[:-1] + grid[1:])
             grid = np.unique(np.concatenate([grid, mids]))
     raise InterpolationError(
-        f"hitting table did not settle to rel tol {rel_tol:g} after "
-        f"{_MAX_REFINEMENTS} grid doublings")
+        f"{'exit' if two_sided else 'hitting'} table did not settle to rel "
+        f"tol {rel_tol:g} after {_MAX_REFINEMENTS} grid doublings")
 
 
-def _hitting_grid(model: DiffusionModel, a: float, xs: np.ndarray,
-                  tail_factor: float) -> np.ndarray:
+def _hitting_grid(model: DiffusionModel, a: float,
+                  xs: np.ndarray) -> np.ndarray:
     span = float(np.max(xs) - a)
-    reach = max(tail_factor * span, tail_factor * (1.0 + abs(a)))
+    reach = max(_TAIL_FACTOR * span, _TAIL_FACTOR * (1.0 + abs(a)))
     L = a + reach
     # keep exp(B) representable over the working range
     while abs(model.log_scale_exponent(L)) > _LOG_SCALE_LIMIT \
@@ -233,7 +207,7 @@ def _hitting_grid(model: DiffusionModel, a: float, xs: np.ndarray,
     return np.unique(np.concatenate([lin, geo, xs]))
 
 
-def _fit_tail(grid: np.ndarray, vals: np.ndarray, a: float) -> tuple[float, float]:
+def _fit_tail(grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     """Leading power law C * xi^kappa fitted on the last decade of the grid."""
     L = grid[-1]
     lo = max(L / 10.0, grid[0] + 0.5 * (L - grid[0]) / 10.0, 1e-9)
@@ -249,41 +223,45 @@ def _fit_tail(grid: np.ndarray, vals: np.ndarray, a: float) -> tuple[float, floa
     return float(np.exp(logc)), float(kappa)
 
 
-def _hitting_curves(model: DiffusionModel, a: float, grid: np.ndarray,
-                    n: int):
+def _curves(model: DiffusionModel, grid: np.ndarray, n: int,
+            two_sided: bool) -> tuple[list[np.ndarray], list]:
+    """Moment curves u_0..u_n on ``grid`` and the tail fits of a ray.
+
+    u_k = k [rho P + (S - S(a)) Q] / rho(a) with P = int_a^x (S - S(a))
+    u_{k-1} m and Q = int_x^end rho u_{k-1} m.  On an interval rho = S(b) - S;
+    on the ray [a, inf) rho = 1 and Q also takes the fitted tail beyond the
+    grid.  Orders from the first divergent tail on are +inf.
+    """
     S = model.scale_function
     m = model.speed_density_fn()
     sg = S(grid)
     sa = sg[0]
-    L = grid[-1]
+    if two_sided:
+        sb = sg[-1]
+        rho, rho_g, rho_a = (lambda t: sb - S(t)), sb - sg, sb - sa
+    else:
+        rho, rho_g, rho_a = (lambda t: 1.0), 1.0, 1.0
     curves = [np.ones_like(grid)]
     fits = []
-    infinite_from = None
     for k in range(1, n + 1):
-        if infinite_from is not None:
-            curves.append(np.full_like(grid, np.inf))
-            continue
-        prev_vals = curves[-1]
-        prev = _interpolant(grid, prev_vals)
-        if k == 1:
-            c_fit, kappa = 1.0, 0.0
-        else:
-            c_fit, kappa = _fit_tail(grid, prev_vals, a)
-        fits.append((k - 1, c_fit, kappa))
-        tail = integrate_semi_infinite(
-            lambda t: c_fit * np.asarray(t, dtype=float) ** kappa * m(t),
-            L, math.inf, model.quad)
-        if tail.diverged:
-            infinite_from = k
-            curves.append(np.full_like(grid, np.inf))
-            continue
-        wI = lambda t: (S(t) - sa) * prev(t) * m(t)
-        wJ = lambda t: prev(t) * m(t)
-        I = cumulative_panels(wI, grid, model.quad.rel_tol, model.quad.abs_tol)
-        Jc = cumulative_panels(wJ, grid, model.quad.rel_tol, model.quad.abs_tol)
-        J = (Jc[-1] - Jc) + tail.value
-        vals = k * (I + (sg - sa) * J)
-        curves.append(vals)
+        prev = _interpolant(grid, curves[-1])
+        wp = lambda t: (S(t) - sa) * prev(t) * m(t)
+        wq = lambda t: rho(t) * prev(t) * m(t)
+        if not two_sided:
+            c_fit, kappa = (1.0, 0.0) if k == 1 else _fit_tail(grid, curves[-1])
+            fits.append((k - 1, c_fit, kappa))
+            tail = integrate_semi_infinite(
+                lambda t: c_fit * np.asarray(t, dtype=float) ** kappa * m(t),
+                grid[-1], math.inf, model.quad)
+            if tail.diverged:
+                break
+        P = cumulative_panels(wp, grid, model.quad.rel_tol, model.quad.abs_tol)
+        Qc = cumulative_panels(wq, grid, model.quad.rel_tol, model.quad.abs_tol)
+        Q = Qc[-1] - Qc
+        if not two_sided:
+            Q = Q + tail.value
+        curves.append(k * (rho_g * P + (sg - sa) * Q) / rho_a)
+    curves += [np.full_like(grid, np.inf)] * (n + 1 - len(curves))
     return curves, fits
 
 

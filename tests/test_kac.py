@@ -180,3 +180,76 @@ def test_csv_roundtrip(tmp_path, ou1):
     assert text[0].startswith("#") and "from_above" in text[0]
     assert text[1] == "x,order,value"
     assert len(text) == 2 + 2 * 3
+    assert text[6] == f"1.0,1,{float(tbl.order(1)[1])!r}"
+    # a caller's header line replaces the default one; the rows stay
+    tbl.to_csv(path, header="# config=0123456789ab version=x")
+    assert path.read_text().splitlines() == \
+        ["# config=0123456789ab version=x"] + text[1:]
+
+
+# Tables recorded with the separate exit and hitting recursions that the
+# shared one replaced (x86-64, NumPy 2.4.6, SciPy 1.17.1).  Both build the
+# same floating-point operations, so each table must come back bit for bit:
+# (table, values, tail_fits, model_hash).
+_INF = math.inf
+_PINNED = {
+    "ou_from_above": (
+        lambda: hitting_moment_table(ou(1.0), 0.0, "from_above",
+                                     [0.5, 1.0, 1.5, 2.0], 2),
+        [[1.0, 1.0, 1.0, 1.0],
+         [0.6936644281279927, 1.1472371061785112, 1.475198802115958,
+          1.728784287988541],
+         [1.1986292174046465, 2.2871153468249465, 3.256714579765398,
+          4.124017880436643]],
+        ((0, 1.0, 0.0), (1, 1.3234967378236004, 0.39749064489898916)),
+        "6a7a4052830d"),
+    "ou_from_below": (
+        lambda: hitting_moment_table(ou(1.0), 1.0, "from_below",
+                                     [-0.5, 0.0, 0.5], 2),
+        [[1.0, 1.0, 1.0],
+         [4.731392761083179, 4.0377283329551865, 2.79946377807497],
+         [40.673896982413424, 33.87361084641477, 22.721550508911953]],
+        ((0, 1.0, 0.0), (1, 3.378560516944399, 0.3300785576448281)),
+        "6a7a4052830d"),
+    "bounded_drift_0.75": (
+        lambda: hitting_moment_table(bounded_drift(0.75), 1.0, "from_above",
+                                     [2.0, 3.0, 5.0], 3),
+        [[1.0, 1.0, 1.0],
+         [7.505210377348119, 18.44407158615475, 51.65172153265408],
+         [_INF, _INF, _INF],
+         [_INF, _INF, _INF]],
+        ((0, 1.0, 0.0), (1, 2.1165513623647687, 1.9834424045468266)),
+        "cf6c3cbea4ef"),
+    "bounded_drift_1": (
+        lambda: hitting_moment_table(bounded_drift(1.0), 12.0, "from_above",
+                                     [30.0, 60.0, 100.0], 2),
+        [[1.0, 1.0, 1.0],
+         [757.2209445377975, 3458.145029705476, 9858.826106856097],
+         [_INF, _INF, _INF]],
+        ((0, 1.0, 0.0), (1, 0.9348218674604432, 2.0111814233909024)),
+        "f7031919c667"),
+    "ou_exit": (
+        lambda: exit_moment_table(ou(1.0), -1.0, 1.0,
+                                  [-1.0, -0.25, 0.5, 1.0], 2),
+        [[1.0, 1.0, 1.0, 1.0],
+         [0.0, 1.3814215347623053, 1.1729455500122272, 0.0],
+         [0.0, 3.4843198087453264, 2.9034468904122495, 0.0]],
+        (),
+        "6a7a4052830d"),
+    "brownian_exit": (
+        lambda: exit_moment_table(brownian(), 0.0, 1.0, [0.25, 0.5, 0.75], 2),
+        [[1.0, 1.0, 1.0],
+         [0.1874999999999996, 0.2499999999999991, 0.1874999999999992],
+         [0.07421874997860202, 0.10416666649824119, 0.07421874997860195]],
+        (),
+        "9a01217dbbbd"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_pinned_moment_tables(name):
+    build, values, fits, model_hash = _PINNED[name]
+    tbl = build()
+    assert tbl.values.tolist() == values
+    assert tbl.tail_fits == fits
+    assert tbl.model_hash == model_hash
