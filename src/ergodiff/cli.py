@@ -33,7 +33,8 @@ from .config import ExperimentConfig, load_config
 from .errors import (ConfigError, ErgodiffError, InconsistentParamsError,
                      RangeError)
 from .kac import hitting_moment_table, simultaneity_check
-from .simulator import estimate_constants, estimate_deviation_prob
+from .simulator import (_check_deviation_grid, estimate_constants,
+                        estimate_deviation_prob, simulate_paths)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -111,8 +112,12 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
         print("warning: finiteness not uniform across the grid "
               "(numerical inconsistency)")
 
-    if cfg.assumptions is not None and cfg.assumptions.has_lower \
-            and cfg.assumptions.has_upper:
+    overlay = cfg.assumptions is not None and cfg.assumptions.has_lower \
+        and cfg.assumptions.has_upper
+    if overlay and cfg.side == "from_below":
+        print("bound overlay skipped: its bounds need x >= target "
+              "(side = from_above)")
+    elif overlay:
         order = cfg.bound_order if cfg.bound_order is not None else 1
         if order > table.orders:
             raise ConfigError(f"bound_order {order} exceeds table orders")
@@ -170,8 +175,7 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
         raise ConfigError("deviation needs a [sim] section")
     if cfg.f is None:
         raise ConfigError("deviation needs f= in [experiment]")
-    if cfg.t_grid.size == 0 or cfg.eps_grid.size == 0:
-        raise ConfigError("deviation needs nonempty t_grid and eps_grid")
+    _check_deviation_grid(cfg.sim, cfg.t_grid, cfg.eps_grid)
     p = cfg.p
     c_p = cfg.bdg_constant if cfg.bdg_constant is not None \
         else default_bdg_constant(p)
@@ -182,10 +186,17 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
     else:
         mu_f, mu_abs = _mu_values(cfg)
 
-    const_cfg = cfg.sim if cfg.constants_replicas is None \
-        else replace(cfg.sim, replicas=cfg.constants_replicas)
+    # with one SimConfig for both estimators, one run serves both: the
+    # checkpoints only read the running integral, not the paths
+    batch = None
+    if cfg.constants_replicas in (None, cfg.sim.replicas):
+        const_cfg = cfg.sim
+        batch = simulate_paths(cfg.model, cfg.sim, cfg.f.fn,
+                               checkpoints=cfg.t_grid)
+    else:
+        const_cfg = replace(cfg.sim, replicas=cfg.constants_replicas)
     est = estimate_constants(cfg.model, const_cfg, cfg.f.fn, p,
-                             f_support=cfg.f.support)
+                             f_support=cfg.f.support, batch=batch)
     consts = DeviationConstants(
         l=est.l_hat.value, p=p, c_p=c_p,
         r1_centered_halfp=est.r1_centered_halfp.value,
@@ -224,7 +235,7 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
         w.writerow(["bdg_constant", _fmt(c_p), ""])
 
     emp = estimate_deviation_prob(cfg.model, cfg.sim, cfg.f.fn,
-                                  cfg.t_grid, cfg.eps_grid, mu_f)
+                                  cfg.t_grid, cfg.eps_grid, mu_f, batch=batch)
 
     reports: list[DeviationReport] = []
     uncertainty: list[float] = []

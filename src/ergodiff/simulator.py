@@ -12,7 +12,10 @@ for both drivers: the hitting driver passes its one or two fixed barriers
 and drops replicas as they hit; the regeneration driver passes one level per
 replica (b while waiting for b, then a) and records each S- and R-event as
 arrays of (replica, time[, cycle integral]) per step, split into
-per-replica samples by one stable sort at the end of a block.
+per-replica samples by one stable sort at the end of a block.  First-block
+runs from several start points share noise rows: one block carries a group
+of rows per start, advanced as one state, so a step's fixed cost is paid
+once for all starts.
 
 Randomness is counter-based: replica r in block b consumes row (r mod B) of
 per-(seed, block, kind, chunk) Philox streams, so every replica's path is a
@@ -325,26 +328,39 @@ def _split_by_replica(replica: list, n_rep: int, *columns: list) -> list:
 
 def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
                  n_rep: int, cp_steps: np.ndarray,
-                 max_cycles: int | None):
+                 max_cycles: int | None, starts: np.ndarray | None = None):
+    """Regeneration paths of one RNG block.
+
+    With ``starts``, the block carries one group of n_rep rows per start
+    point in place of draws from cfg.initial; row r of every group reads
+    noise row r, so each row's path is the one a point-law run from that
+    start would give.  Samples come back group by group.
+    """
     h = cfg.step
     fv = vectorize_integrand(f)
 
-    X = cfg.initial.sample(_stream(cfg.seed, block, _KIND_INITIAL, 0), n_rep)
-    idx = np.arange(n_rep)
-    phase = np.zeros(n_rep, dtype=np.int8)   # 0: waiting for b, 1: waiting for a
-    cum_f = np.zeros(n_rep)
-    cum_fabs = np.zeros(n_rep)
-    anchor_f = np.zeros(n_rep)                # int_0^{R_n} f at the last R_n
-    first_fabs = np.full(n_rep, np.nan)
-    n_r = np.zeros(n_rep, dtype=np.int64)
+    if starts is None:
+        X = cfg.initial.sample(_stream(cfg.seed, block, _KIND_INITIAL, 0),
+                               n_rep)
+    else:
+        X = np.repeat(starts, n_rep)
+    n_rows = X.size
+    idx = np.arange(n_rows)
+    rows = idx % n_rep                        # noise row of each live row
+    phase = np.zeros(n_rows, dtype=np.int8)  # 0: wait for b, 1: wait for a
+    cum_f = np.zeros(n_rows)
+    cum_fabs = np.zeros(n_rows)
+    anchor_f = np.zeros(n_rows)               # int_0^{R_n} f at the last R_n
+    first_fabs = np.full(n_rows, np.nan)
+    n_r = np.zeros(n_rows, dtype=np.int64)
     s_rep, s_time = [], []                    # S-event records
     r_rep, r_time, r_cyc = [], [], []         # R-event records
-    additive = np.zeros((n_rep, cp_steps.size))
+    additive = np.zeros((n_rows, cp_steps.size))
     cp_lookup = {int(s): i for i, s in enumerate(cp_steps)}
 
     for step, z, u in _noise(cfg, block, n_rep):
-        xn, theta = _euler_cross(model, cfg, X, z[idx],
-                                 None if u is None else u[idx],
+        xn, theta = _euler_cross(model, cfg, X, z[rows],
+                                 None if u is None else u[rows],
                                  (np.where(phase == 0, cfg.b, cfg.a),))
         fx = fv(X)
         fax = np.abs(fx)
@@ -373,22 +389,38 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
             keep = np.ones(idx.size, dtype=bool)
             keep[pr[n_r[g] >= max_cycles]] = False
             if not keep.all():
-                X, idx, phase = X[keep], idx[keep], phase[keep]
+                X, idx, rows, phase = X[keep], idx[keep], rows[keep], \
+                    phase[keep]
                 if idx.size == 0:
                     break
         ci = cp_lookup.get(step + 1)
         if ci is not None:
             additive[:, ci] = cum_f
 
-    s_times, = _split_by_replica(s_rep, n_rep, s_time)
-    r_times, cycles = _split_by_replica(r_rep, n_rep, r_time, r_cyc)
+    s_times, = _split_by_replica(s_rep, n_rows, s_time)
+    r_times, cycles = _split_by_replica(r_rep, n_rows, r_time, r_cyc)
     samples = [RegenerationSample(
         r_times=r_times[g], s_times=s_times[g],
         cycle_integrals=cycles[g][1:],        # drop the first block
         first_block_abs=float(first_fabs[g]), n_t=int(n_r[g]),
         additive_integral=float(cum_f[g]), horizon=cfg.horizon)
-        for g in range(n_rep)]
+        for g in range(n_rows)]
     return samples, additive
+
+
+def _checkpoint_steps(cfg: SimConfig, checkpoints) -> np.ndarray:
+    """Checkpoint times snapped to the step grid, as sorted unique steps."""
+    cps = np.asarray(sorted(checkpoints), dtype=float)
+    return np.unique(np.round(cps / cfg.step).astype(np.int64))
+
+
+def _check_batch(batch: BatchResult, cfg: SimConfig):
+    """A shared batch must be the full-horizon run of cfg."""
+    if len(batch.samples) != cfg.replicas \
+            or batch.samples[0].horizon != cfg.horizon:
+        raise ConfigError(
+            f"batch holds {len(batch.samples)} paths, not the "
+            f"{cfg.replicas}-replica run to horizon {cfg.horizon:g}")
 
 
 def simulate_paths(model: DiffusionModel, cfg: SimConfig, f,
@@ -399,10 +431,9 @@ def simulate_paths(model: DiffusionModel, cfg: SimConfig, f,
     ``checkpoints`` are times (snapped to the step grid) at which the running
     additive integral is recorded for every replica.
     ``max_cycles`` freezes a replica once it has recorded that many R-events
-    (an efficiency device for first-block and cycle-law estimation).
+    (an efficiency device when only the first cycles matter).
     """
-    cps = np.asarray(sorted(checkpoints), dtype=float)
-    cp_steps = np.unique(np.round(cps / cfg.step).astype(np.int64))
+    cp_steps = _checkpoint_steps(cfg, checkpoints)
     if cp_steps.size and (cp_steps[0] < 1 or cp_steps[-1] > cfg.n_steps):
         raise ConfigError("checkpoints must lie in (0, horizon]")
     if cp_steps.size and max_cycles is not None:
@@ -479,7 +510,8 @@ def _probe_support(f, lo: float, hi: float, n: int = 4096):
 def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
                        f_support: tuple | None = None,
                        support_grid_points: int = 5,
-                       first_block_replicas: int | None = None
+                       first_block_replicas: int | None = None,
+                       *, batch: BatchResult | None = None
                        ) -> MomentEstimates:
     """Estimate every cycle-moment input of the deviation bounds.
 
@@ -487,11 +519,20 @@ def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
     mean-cycle identity and the invariant-average identity then hold up to
     Monte Carlo error and a renewal edge effect of order (cycle length) /
     horizon.  The cycle-integral constant is the max over a start-point grid
-    in the support of f of the mean first-block integral of |f|.
+    in the support of f of the mean first-block integral of |f|.  All start
+    points advance as one state: replica r of every start reads the same
+    noise row, in one run per RNG block of the first-block sub-run.
+
+    ``batch`` is an existing ``simulate_paths(model, cfg, f, ...)`` result
+    to read the cycles from in place of a new run (checkpoints do not
+    change the paths).
     """
     if p <= 1:
         raise DomainError("need p > 1")
-    batch = simulate_paths(model, cfg, f)
+    if batch is None:
+        batch = simulate_paths(model, cfg, f)
+    else:
+        _check_batch(batch, cfg)
     samples = [s for s in batch.samples if len(s.r_times) >= 2]
     lacking = len(batch.samples) - len(samples)
     if lacking > 0.02 * len(batch.samples):
@@ -541,14 +582,17 @@ def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
         c_f = Estimate(0.0, 0.0)
     else:
         n_first = first_block_replicas or max(200, cfg.replicas // 4)
+        starts = np.linspace(support[0], support[1], support_grid_points)
+        sub = replace(cfg, replicas=n_first, seed=cfg.seed + 1)
+        no_cps = np.zeros(0, dtype=np.int64)
+        parts = _run_blocks(lambda bid, cnt: _regen_block(
+            model, sub, f, bid, cnt, no_cps, 1, starts)[0], sub)
+        # (start, replica) table of first-block integrals
+        first = np.hstack([
+            np.array([s.first_block_abs for s in samples]).reshape(
+                starts.size, -1) for samples in parts])
         best = Estimate(-math.inf, 0.0)
-        for x_start in np.linspace(support[0], support[1],
-                                   support_grid_points):
-            sub = replace(cfg, replicas=n_first,
-                          initial=InitialLaw.point(float(x_start)),
-                          seed=cfg.seed + 1)
-            fb = simulate_paths(model, sub, f, max_cycles=1)
-            vals = np.array([s.first_block_abs for s in fb.samples])
+        for x_start, vals in zip(starts, first):
             vals = vals[np.isfinite(vals)]
             if vals.size < 2:
                 raise InsufficientCyclesError(
@@ -577,23 +621,37 @@ def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
     )
 
 
+def _check_deviation_grid(cfg: SimConfig, t_grid, eps_grid):
+    """Raise ConfigError unless estimate_deviation_prob accepts the grids."""
+    if len(t_grid) == 0 or len(eps_grid) == 0:
+        raise ConfigError("t_grid and eps_grid must be nonempty")
+    if np.max(t_grid) > cfg.horizon + 1e-9:
+        raise ConfigError("horizon shorter than max(t_grid)")
+    if cfg.replicas < 100:
+        raise ConfigError("deviation estimation needs >= 100 replicas")
+
+
 def estimate_deviation_prob(model: DiffusionModel, cfg: SimConfig, f,
-                            t_grid, eps_grid, mu_f: float
+                            t_grid, eps_grid, mu_f: float,
+                            *, batch: BatchResult | None = None
                             ) -> EmpiricalDeviation:
     """Empirical P(|t^-1 int_0^t f - mu(f)| > eps) over a (t, eps) grid.
 
     Binomial 95% half-widths; zero-count cells get the rule-of-three width
-    3/n.  The horizon must cover max(t_grid).
+    3/n.  The horizon must cover max(t_grid).  ``batch`` is an existing
+    ``simulate_paths(model, cfg, f, checkpoints=t_grid)`` result to read in
+    place of a new run.
     """
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     eps_grid = np.asarray(sorted(eps_grid), dtype=float)
-    if t_grid.size == 0 or eps_grid.size == 0:
-        raise ConfigError("t_grid and eps_grid must be nonempty")
-    if t_grid[-1] > cfg.horizon + 1e-9:
-        raise ConfigError("horizon shorter than max(t_grid)")
-    if cfg.replicas < 100:
-        raise ConfigError("deviation estimation needs >= 100 replicas")
-    batch = simulate_paths(model, cfg, f, checkpoints=t_grid)
+    _check_deviation_grid(cfg, t_grid, eps_grid)
+    if batch is None:
+        batch = simulate_paths(model, cfg, f, checkpoints=t_grid)
+    else:
+        _check_batch(batch, cfg)
+        if not np.array_equal(batch.checkpoints,
+                              _checkpoint_steps(cfg, t_grid) * cfg.step):
+            raise ConfigError("batch checkpoints differ from the t_grid")
     times = batch.checkpoints  # snapped to the step grid, duplicates merged
     n = cfg.replicas
     freq = np.zeros((times.size, eps_grid.size))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,18 @@ def test_cmd_moments_inadmissible_order(tmp_path, capsys):
     assert "admissible range" in err
 
 
+def test_cmd_moments_from_below_skips_overlay(tmp_path, capsys):
+    # the overlay's bounds need x >= target: skipped, not a failure
+    text = BOUNDED.format(out=tmp_path / "fb", order=1).replace(
+        "bounded_drift(1.0)", "ou(1.0)").replace(
+        "target = 12.0\nside = from_above\nx_grid = 25, 50, 100",
+        "target = 0.0\nside = from_below\nx_grid = -2, -1, -0.5")
+    assert main(["moments", "--config", _write(tmp_path, text)]) == 0
+    assert "bound overlay skipped" in capsys.readouterr().out
+    assert (tmp_path / "fb" / "moments.csv").exists()
+    assert not (tmp_path / "fb" / "moment_bounds.csv").exists()
+
+
 def test_cmd_deviation_roundtrip_and_determinism(tmp_path):
     path = _write(tmp_path, FULL.format(out=tmp_path / "d1"))
     assert main(["deviation", "--config", path]) == 0
@@ -215,6 +229,53 @@ def test_cmd_deviation_empty_t_grid(tmp_path, capsys):
                                                     "t_grid =")
     code = main(["deviation", "--config", _write(tmp_path, text)])
     assert code == 1
+
+
+@pytest.mark.parametrize("change", [("horizon = 20", "horizon = 15"),
+                                    ("replicas = 2400", "replicas = 99")])
+def test_cmd_deviation_fails_before_simulating(tmp_path, monkeypatch, change):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before the grid checks")
+
+    monkeypatch.setattr("ergodiff.simulator.simulate_paths", no_run)
+    monkeypatch.setattr("ergodiff.cli.simulate_paths", no_run, raising=False)
+    text = FULL.format(out=tmp_path / "ff").replace(*change)
+    assert main(["deviation", "--config", _write(tmp_path, text)]) == 1
+    assert not (tmp_path / "ff" / "constants.csv").exists()
+
+
+# sha256 of each output after its header line (which holds the config hash
+# and version), recorded with separate constants and deviation runs
+SHARED_RUN_SHA256 = {
+    "constants.csv":
+        "35f443605fe807647a90d5c7bcaade531470445d2539f9bb36ee7cd5594160b2",
+    "deviation.csv":
+        "c4d80e667a8404d48d8f0474f0b72923985a78f3cc0cde337c5a661d7d175b51",
+    "deviation_plot.dat":
+        "df244a1e5ccd51fdabd11eb1afdb45533b00075a9d6256d9162458b3876141b3",
+}
+
+
+def test_cmd_deviation_shares_one_full_horizon_run(tmp_path, monkeypatch):
+    import ergodiff.simulator as simulator
+
+    calls = []
+    real = simulator.simulate_paths
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("max_cycles"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("ergodiff.simulator.simulate_paths", spy)
+    monkeypatch.setattr("ergodiff.cli.simulate_paths", spy, raising=False)
+    text = FULL.format(out=tmp_path / "sh").replace(
+        "replicas = 2400", "replicas = 200").replace(
+        "constants_replicas = 300\n", "")
+    assert main(["deviation", "--config", _write(tmp_path, text)]) == 0
+    assert calls.count(None) == 1
+    for name, digest in SHARED_RUN_SHA256.items():
+        body = (tmp_path / "sh" / name).read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == digest, name
 
 
 def test_bound_violation_predicate():

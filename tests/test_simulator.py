@@ -347,3 +347,46 @@ def test_pinned_regeneration_outputs(key):
            np.sum(np.concatenate([s.cycle_integrals for s in batch.samples])),
            np.sum(batch.additive_at), np.sum(fb[np.isfinite(fb)]))
     assert got == pytest.approx(PINNED_REGENERATION[key], rel=1e-12)
+
+
+def test_shared_batch_matches_own_runs_and_must_fit():
+    m = ou(1.0)
+    cfg = _cfg(step=0.02, horizon=40.0, replicas=100)
+    batch = simulate_paths(m, cfg, INDICATOR, checkpoints=[20.0, 40.0])
+    emp = estimate_deviation_prob(m, cfg, INDICATOR, [40.0, 20.0], [0.1], 0.5,
+                                  batch=batch)
+    own = estimate_deviation_prob(m, cfg, INDICATOR, [40.0, 20.0], [0.1], 0.5)
+    assert np.array_equal(emp.freq, own.freq)
+    kw = dict(f_support=(-0.5, 0.5), support_grid_points=2)
+    shared = estimate_constants(m, cfg, INDICATOR, 2.0, batch=batch, **kw)
+    assert repr(shared) == repr(estimate_constants(m, cfg, INDICATOR, 2.0, **kw))
+    with pytest.raises(ConfigError):
+        estimate_deviation_prob(m, cfg, INDICATOR, [20.0], [0.1], 0.5,
+                                batch=batch)
+    with pytest.raises(ConfigError):
+        estimate_constants(m, dataclasses.replace(cfg, replicas=120),
+                           INDICATOR, 2.0, batch=batch)
+    with pytest.raises(ConfigError):
+        estimate_constants(m, dataclasses.replace(cfg, horizon=30.0),
+                           INDICATOR, 2.0, batch=batch)
+
+
+PINNED_FIRST_BLOCK = {
+    # crossing: (c_f_hat value, its SE), recorded with one run per start
+    "interpolate": (2.7126193903578835, 0.026722038639037736),
+    "bridge": (2.525336463528617, 0.022573240430805306),
+}
+
+
+@pytest.mark.parametrize("crossing", sorted(PINNED_FIRST_BLOCK))
+def test_pinned_first_block_over_two_rng_blocks(crossing):
+    # 4100 first-block replicas span two RNG blocks; the starts 0, 1, 2 share
+    # each block's noise rows and must give the separate runs' values (the
+    # maximum is at the last start, so a group reading other rows shows)
+    cfg = _cfg(step=0.02, horizon=40.0, replicas=100, seed=5,
+               crossing=crossing)
+    f = lambda x: np.where((np.asarray(x) >= 0.0) & (np.asarray(x) <= 2.0),
+                           1.0, 0.0)
+    est = estimate_constants(ou(1.0), cfg, f, 2.0, f_support=(0.0, 2.0),
+                             support_grid_points=3, first_block_replicas=4100)
+    assert (est.c_f_hat.value, est.c_f_hat.se) == PINNED_FIRST_BLOCK[crossing]
