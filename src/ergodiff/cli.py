@@ -65,6 +65,15 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, float) else str(x)
 
 
+def _probe_grid(cfg: ExperimentConfig) -> np.ndarray:
+    """The points |x| > m0 at which the assumption envelopes are checked:
+    401 a side, geometric from m0 to min(probe_limit, 1000 m0)."""
+    m0 = cfg.assumptions.m0
+    hi = min(cfg.probe_limit, 1000.0 * m0)
+    half = np.geomspace(m0 * (1 + 1e-9), hi, 401)
+    return np.concatenate([-half[::-1], half])
+
+
 def cmd_model(cfg: ExperimentConfig) -> int:
     report = cfg.model.classify_recurrence(cfg.probe_limit)
     lines = [_header(cfg)]
@@ -74,11 +83,7 @@ def cmd_model(cfg: ExperimentConfig) -> int:
     lines.append(summary)
 
     if cfg.assumptions is not None:
-        m0 = cfg.assumptions.m0
-        hi = min(cfg.probe_limit, 1000.0 * m0)
-        half = np.geomspace(m0 * (1 + 1e-9), hi, 401)
-        grid = np.concatenate([-half[::-1], half])
-        rep = cfg.model.check_assumptions(cfg.assumptions, grid)
+        rep = cfg.model.check_assumptions(cfg.assumptions, _probe_grid(cfg))
         for chk in rep.checks:
             lines.append(f"assumption {chk.name}: "
                          f"{'pass' if chk.passed else 'FAIL'} "
@@ -128,18 +133,31 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
                 f"order {order} inadmissible for the upper bound; "
                 f"admissible range is [1, {ub_lim:g})")
         mb = MomentBoundParams.from_assumptions(cfg.assumptions, order)
+        # the bounds hold only where the envelopes hold and m0 < target < x
+        rep = cfg.model.check_assumptions(cfg.assumptions, _probe_grid(cfg))
+        failed = [f"{c.name} fails" for c in rep.checks if not c.passed]
+        m0 = cfg.assumptions.m0
         bpath = _out_path(cfg, "moment_bounds.csv")
+        marked = 0
         with open(bpath, "w", newline="") as fh:
             fh.write(_header(cfg) + "\n")
             w = csv.writer(fh)
             w.writerow(["x", "lower", "value", "upper"])
             for x, v in zip(table.x_grid, table.values[order]):
-                lower = moment_lower_bound(mb, float(x), cfg.target) \
-                    if order <= lb_lim else math.inf
-                upper = moment_upper_bound(mb, float(x))
-                w.writerow([_fmt(float(x)), _fmt(lower), _fmt(float(v)),
-                            _fmt(upper)])
+                reasons = failed if m0 < cfg.target < x \
+                    else failed + ["needs m0 < target < x"]
+                if reasons:
+                    lower = upper = "inadmissible: " + "; ".join(reasons)
+                    marked += 1
+                else:
+                    lower = _fmt(moment_lower_bound(mb, float(x), cfg.target)
+                                 if order <= lb_lim else math.inf)
+                    upper = _fmt(moment_upper_bound(mb, float(x)))
+                w.writerow([_fmt(float(x)), lower, _fmt(float(v)), upper])
         print(f"wrote {bpath}")
+        if marked:
+            print(f"bound overlay: {marked} of {table.x_grid.size} rows "
+                  "inadmissible")
     return EXIT_OK
 
 

@@ -110,8 +110,11 @@ def parse_function(text: str, probe_range: tuple[float, float]) -> FunctionSpec:
         lo, hi = float(m.group(1)), float(m.group(2))
         if not lo < hi:
             raise ConfigError("indicator needs lo < hi")
-        fn = lambda x: np.where((np.asarray(x) >= lo) & (np.asarray(x) <= hi),
-                                1.0, 0.0)
+
+        def fn(x):
+            x = np.asarray(x)
+            return ((x >= lo) & (x <= hi)).astype(float)
+
         return FunctionSpec(fn, f"indicator({lo:g},{hi:g})", 1.0, (lo, hi))
     expr = parse_expression(text)
     xs = np.linspace(probe_range[0], probe_range[1], 4001)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DomainError, InconclusiveError, NonConvergenceError,
-                     NotPositiveRecurrentError)
+                     NotPositiveRecurrentError, NumericalBlowupError)
 from .gridfn import Antiderivative
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, integrate_finite,
                          integrate_semi_infinite, vectorize_integrand)
@@ -147,10 +147,25 @@ class DiffusionModel:
     def sigma_sq(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         s2 = self._sigma(xs) ** 2
-        if np.any(s2 <= 0):
-            bad = xs[s2 <= 0]
-            raise DomainError(f"sigma^2 vanishes at x={bad.flat[0]!r}")
+        _check_positive(xs, s2)
         return s2
+
+    def step_coefficients(self, x: np.ndarray, guard: float):
+        """(drift, sigma^2) at an Euler state x, a 1-d float array.
+
+        The checks run in order: |x| <= guard, then those of sigma_sq, then
+        the finiteness of the drift.  Each is screened by one reduction, and
+        only a failing screen runs the elementwise check, which names the
+        offending point (a NaN fails the screens but none of the checks).
+        """
+        if not abs(x).max(initial=0.0) <= guard \
+                and np.any(np.abs(x) > guard):
+            raise NumericalBlowupError(
+                f"{self.label}: |X| exceeded guard {guard:g}; "
+                "is the model recurrent?")
+        s2 = self._sigma(x) ** 2
+        _check_positive(x, s2)
+        return self._drift(x), s2
 
     def model_hash(self) -> str:
         payload = f"{self.label}|anchor={self.anchor}|quad={astuple(self.quad)}"
@@ -308,6 +323,12 @@ class DiffusionModel:
 
     def __repr__(self):
         return f"DiffusionModel({self.label!r}, anchor={self.anchor})"
+
+
+def _check_positive(xs: np.ndarray, s2: np.ndarray) -> None:
+    if not s2.min(initial=np.inf) > 0 and np.any(s2 <= 0):
+        bad = xs[s2 <= 0]
+        raise DomainError(f"sigma^2 vanishes at x={bad.flat[0]!r}")
 
 
 def _worst(name: str, grid: np.ndarray, slack: np.ndarray) -> InequalityCheck:

@@ -125,7 +125,9 @@ def vectorize_integrand(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
-    if not np.all(np.isfinite(ys)):
+    # a non-finite value makes the sum non-finite; only then (or when the
+    # sum overflows) does the elementwise check run
+    if not math.isfinite(ys.sum()) and not np.all(np.isfinite(ys)):
         bad = np.asarray(xs)[~np.isfinite(ys)]
         raise EvaluationError(f"integrand is non-finite near x={bad.flat[0]!r}")
 

@@ -10,12 +10,16 @@ the cost of one extra uniform stream.
 One kernel, ``_euler_cross``, takes the Euler step and finds the crossing
 for both drivers: the hitting driver passes its one or two fixed barriers
 and drops replicas as they hit; the regeneration driver passes one level per
-replica (b while waiting for b, then a) and records each S- and R-event as
-arrays of (replica, time[, cycle integral]) per step, split into
-per-replica samples by one stable sort at the end of a block.  First-block
-runs from several start points share noise rows: one block carries a group
-of rows per start, advanced as one state, so a step's fixed cost is paid
-once for all starts.
+replica (b while waiting for b, then a, updated at its events) and records
+each S- and R-event as arrays of (replica, time[, cycle integral]) per step,
+split into per-replica samples by one stable sort at the end of a block.
+First-block runs from several start points share noise rows: one block
+carries a group of rows per start, advanced as one state, so a step's fixed
+cost is paid once for all starts.
+
+Every check (the guard, sigma^2 > 0, finite drift, sigma and f) runs at
+every step as one screening reduction, elementwise only when the screen
+fails; crossing fractions are computed on the crossing rows only.
 
 Randomness is counter-based: replica r in block b consumes row (r mod B) of
 per-(seed, block, kind, chunk) Philox streams, so every replica's path is a
@@ -34,7 +38,7 @@ import numpy as np
 
 from .diffusion import DiffusionModel
 from .errors import (ConfigError, DomainError, ExcessCensoringError,
-                     InsufficientCyclesError, NumericalBlowupError)
+                     InsufficientCyclesError)
 from .quadrature import vectorize_integrand
 
 __all__ = [
@@ -52,6 +56,7 @@ _KIND_INITIAL = 2
 _KIND_AUX = 3
 
 CROSSING_RULES = ("interpolate", "bridge")
+_NO_ROWS, _NO_FRACS = np.zeros(0, dtype=np.intp), np.zeros(0)  # no crossing
 
 
 def _stream(seed: int, block: int, kind: int, chunk: int) -> np.random.Generator:
@@ -233,13 +238,6 @@ def _run_blocks(fn, cfg: SimConfig):
         return [f.result() for f in futures]
 
 
-def _guard(x: np.ndarray, cfg: SimConfig, label: str):
-    if np.any(np.abs(x) > cfg.blowup_guard):
-        raise NumericalBlowupError(
-            f"{label}: |X| exceeded guard {cfg.blowup_guard:g}; "
-            "is the model recurrent?")
-
-
 # -- Euler/level-crossing kernel ------------------------------------------------
 
 def _noise(cfg: SimConfig, block: int, n_rep: int):
@@ -262,29 +260,39 @@ def _noise(cfg: SimConfig, block: int, n_rep: int):
 
 def _euler_cross(model: DiffusionModel, cfg: SimConfig, x: np.ndarray,
                  z: np.ndarray, u: np.ndarray | None, levels: tuple):
-    """One Euler step from x; returns (xn, theta), where theta is the step
-    fraction of the first crossing of any level (each a float or a per-row
-    array), +inf where there is none.  With uniforms u, a Brownian-bridge
-    test also fires on same-side steps and places that crossing mid-step."""
+    """One Euler step from x; returns (xn, rows, theta): the rows whose step
+    crosses a level (each a float or a per-row array), ascending, and the
+    step fraction of each one's first crossing.  With uniforms u, a
+    Brownian-bridge test also fires on same-side steps and places that
+    crossing mid-step."""
     h = cfg.step
-    _guard(x, cfg, model.label)
-    s2 = model.sigma_sq(x)
-    xn = x + model.drift(x) * h + np.sqrt(s2) * math.sqrt(h) * z
-    theta = np.full(x.shape, np.inf)
+    drift, s2 = model.step_coefficients(x, cfg.blowup_guard)
+    xn = x + drift * h + np.sqrt(s2) * math.sqrt(h) * z
+    found = []                      # (rows, fractions) per level and test
     for lvl in levels:
         d0 = x - lvl
         d1 = xn - lvl
         crossed = d0 * d1 <= 0.0
-        if crossed.any():
-            denom = d0 - d1
+        rows = crossed.nonzero()[0]
+        if rows.size:
+            c0 = d0[rows]
+            denom = c0 - d1[rows]
             safe = np.where(denom == 0.0, 1.0, denom)
-            frac = np.clip(np.where(denom == 0.0, 0.0, d0 / safe), 0.0, 1.0)
-            theta = np.where(crossed, np.minimum(theta, frac), theta)
+            found.append((rows, np.clip(
+                np.where(denom == 0.0, 0.0, c0 / safe), 0.0, 1.0)))
         if u is not None:
             arg = -2.0 * d0 * d1 / (s2 * h)
             fired = (~crossed) & (u < np.exp(np.minimum(arg, 0.0)))
-            theta = np.where(fired, np.minimum(theta, 0.5), theta)
-    return xn, theta
+            rows = fired.nonzero()[0]
+            if rows.size:
+                found.append((rows, np.full(rows.size, 0.5)))
+    if len(found) < 2:
+        return (xn, *found[0]) if found else (xn, _NO_ROWS, _NO_FRACS)
+    theta = np.full(x.size, np.inf)   # the first crossing over all of them
+    for rows, frac in found:
+        theta[rows] = np.minimum(theta[rows], frac)
+    rows = (theta < np.inf).nonzero()[0]
+    return xn, rows, theta[rows]
 
 
 # -- hitting-time driver -----------------------------------------------------
@@ -296,12 +304,13 @@ def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
     idx = np.arange(n_rep)
     hit = np.full(n_rep, np.nan)
     for step, z, u in _noise(cfg, block, n_rep):
-        X, theta = _euler_cross(model, cfg, X, z[idx],
-                                None if u is None else u[idx], barriers)
-        finished = np.isfinite(theta)
-        if finished.any():
-            hit[idx[finished]] = step * h + theta[finished] * h
-            keep = ~finished
+        if idx.size < n_rep:                 # read the live rows' noise
+            z, u = z[idx], None if u is None else u[idx]
+        X, pos, theta = _euler_cross(model, cfg, X, z, u, barriers)
+        if pos.size:
+            hit[idx[pos]] = step * h + theta * h
+            keep = np.ones(X.size, dtype=bool)
+            keep[pos] = False
             X, idx = X[keep], idx[keep]
             if idx.size == 0:
                 break
@@ -346,8 +355,8 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
         X = np.repeat(starts, n_rep)
     n_rows = X.size
     idx = np.arange(n_rows)
-    rows = idx % n_rep                        # noise row of each live row
-    phase = np.zeros(n_rows, dtype=np.int8)  # 0: wait for b, 1: wait for a
+    rows = None if starts is None else idx % n_rep  # noise rows (None: own)
+    level = np.full(n_rows, cfg.b)            # each live row waits for b, then a
     cum_f = np.zeros(n_rows)
     cum_fabs = np.zeros(n_rows)
     anchor_f = np.zeros(n_rows)               # int_0^{R_n} f at the last R_n
@@ -359,38 +368,39 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     cp_lookup = {int(s): i for i, s in enumerate(cp_steps)}
 
     for step, z, u in _noise(cfg, block, n_rep):
-        xn, theta = _euler_cross(model, cfg, X, z[rows],
-                                 None if u is None else u[rows],
-                                 (np.where(phase == 0, cfg.b, cfg.a),))
+        if rows is not None:
+            z, u = z[rows], None if u is None else u[rows]
+        xn, pos, theta = _euler_cross(model, cfg, X, z, u, (level,))
         fx = fv(X)
-        fax = np.abs(fx)
-        pos = np.nonzero(np.isfinite(theta))[0]
         if pos.size:
-            te = step * h + theta[pos] * h
-            at_b = phase[pos] == 0
+            te = step * h + theta * h
+            at_b = level[pos] == cfg.b
             s_rep.append(idx[pos[at_b]])
             s_time.append(te[at_b])
-            pr = pos[~at_b]
+            at_a = ~at_b
+            pr, th = pos[at_a], theta[at_a]
             g = idx[pr]
-            pf = cum_f[g] + fx[pr] * theta[pr] * h
-            pfa = cum_fabs[g] + fax[pr] * theta[pr] * h
+            pf = cum_f[g] + fx[pr] * th * h
+            pfa = cum_fabs[g] + np.abs(fx[pr]) * th * h
             first = n_r[g] == 0
             first_fabs[g[first]] = pfa[first]
             r_rep.append(g)
-            r_time.append(te[~at_b])
+            r_time.append(te[at_a])
             r_cyc.append(pf - anchor_f[g])    # at R_1: the first block
             anchor_f[g] = pf
             n_r[g] += 1
-            phase[pos] ^= 1
-        cum_f[idx] += fx * h
-        cum_fabs[idx] += fax * h
+            level[pos] = np.where(at_b, cfg.a, cfg.b)
+        live = slice(None) if idx.size == n_rows else idx  # in place if all
+        cum_f[live] += fx * h
+        cum_fabs[live] += np.abs(fx) * h
         X = xn
         if max_cycles is not None and pos.size:
-            keep = np.ones(idx.size, dtype=bool)
-            keep[pr[n_r[g] >= max_cycles]] = False
-            if not keep.all():
-                X, idx, rows, phase = X[keep], idx[keep], rows[keep], \
-                    phase[keep]
+            done = pr[n_r[g] >= max_cycles]
+            if done.size:
+                keep = np.ones(idx.size, dtype=bool)
+                keep[done] = False
+                X, idx, level = X[keep], idx[keep], level[keep]
+                rows = idx % n_rep
                 if idx.size == 0:
                     break
         ci = cp_lookup.get(step + 1)
@@ -459,6 +469,10 @@ def _batch_se(values: np.ndarray, n_batches: int = 32) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(nb))
 
 
+def _mean_se(values: np.ndarray) -> Estimate:
+    return Estimate(float(np.mean(values)), _batch_se(values))
+
+
 def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
                              target: float, orders, second_target=None
                              ) -> list[HittingEstimate]:
@@ -484,18 +498,9 @@ def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
         raise ExcessCensoringError(
             f"{frac:.0%} of replicas censored at horizon {cfg.horizon:g}")
     good = times[~censored]
-    out = []
-    for k in orders:
-        powers = good ** k
-        out.append(HittingEstimate(
-            estimate=float(np.mean(powers)),
-            stderr=_batch_se(powers),
-            censored_fraction=frac,
-            order=k,
-            n_used=good.size,
-            lower_bias_possible=frac > 0.0,
-        ))
-    return out
+    ests = [(k, _mean_se(good ** k)) for k in orders]
+    return [HittingEstimate(e.value, e.se, frac, k, good.size, frac > 0.0)
+            for k, e in ests]
 
 
 def _probe_support(f, lo: float, hi: float, n: int = 4096):
@@ -591,32 +596,27 @@ def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
         first = np.hstack([
             np.array([s.first_block_abs for s in samples]).reshape(
                 starts.size, -1) for samples in parts])
-        best = Estimate(-math.inf, 0.0)
+        ests = []
         for x_start, vals in zip(starts, first):
             vals = vals[np.isfinite(vals)]
             if vals.size < 2:
                 raise InsufficientCyclesError(
                     f"first-block runs from x={x_start:g} rarely regenerate "
                     "within the horizon")
-            est = Estimate(float(np.mean(vals)), _batch_se(vals))
-            if est.value > best.value:
-                best = est
-        c_f = best
+            ests.append(_mean_se(vals))
+        c_f = max(ests, key=lambda e: e.value)   # the first of equal maxima
 
     return MomentEstimates(
         p=p,
         l_hat=Estimate(l_hat, l_se),
-        r1_centered_halfp=Estimate(float(np.mean(r1_centered)),
-                                   _batch_se(r1_centered)),
-        r1_halfp=Estimate(float(np.mean(r1_halfp)), _batch_se(r1_halfp)),
-        eta_p=Estimate(float(np.mean(eta)), _batch_se(eta)),
-        r1_p_at_a=Estimate(float(np.mean(gap_p_pooled)),
-                           _batch_se(gap_p_pooled)),
-        cycle_gap_p=Estimate(float(np.mean(gap_p_first)),
-                             _batch_se(gap_p_first)),
+        r1_centered_halfp=_mean_se(r1_centered),
+        r1_halfp=_mean_se(r1_halfp),
+        eta_p=_mean_se(eta),
+        r1_p_at_a=_mean_se(gap_p_pooled),
+        cycle_gap_p=_mean_se(gap_p_first),
         c_f_hat=c_f,
         mu_f_hat=Estimate(mu_hat, mu_se),
-        mean_cycle_time=Estimate(float(np.mean(all_gaps)), _batch_se(all_gaps)),
+        mean_cycle_time=_mean_se(all_gaps),
         n_cycles=int(all_gaps.size),
     )
 
@@ -675,5 +675,5 @@ def nu_moment_estimate(law: InitialLaw, exponent: float, n: int = 20000,
     gen = _stream(seed, 0, _KIND_AUX, 0)
     xs = law.sample(gen, n)
     vals = np.abs(xs) ** exponent
-    return Estimate(float(np.mean(vals)), _batch_se(vals))
+    return _mean_se(vals)
 

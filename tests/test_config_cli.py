@@ -89,6 +89,16 @@ def test_parse_function_variants():
     assert expr.sup == pytest.approx(np.tanh(5.0))
 
 
+def test_indicator_values_are_bitwise_the_where_form():
+    ind = parse_function("indicator(-0.5, 0.5)", (-5, 5))
+    xs = np.array([-np.inf, np.nextafter(-0.5, -1.0), -0.5, -0.0, 0.25, 0.5,
+                   np.nextafter(0.5, 1.0), np.inf, np.nan])
+    want = np.where((xs >= -0.5) & (xs <= 0.5), 1.0, 0.0)
+    got = ind(xs)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert float(ind(0.5)) == 1.0 and ind([0.0, 2.0]).tolist() == [1.0, 0.0]
+
+
 def test_parse_initial_law():
     assert parse_initial_law("point(1.5)").params == (1.5,)
     assert parse_initial_law("0.25").params == (0.25,)
@@ -176,6 +186,35 @@ def test_cmd_moments_bound_overlay(tmp_path):
     for line in lines[2:]:
         x, lo, v, hi = (float(s) for s in line.split(","))
         assert lo <= v <= hi
+
+
+@pytest.mark.parametrize("model, target, x_grid, marked", [
+    # the README's OU config: drift_ratio_upper fails and target < m0
+    ("ou(1.0)", "0.0", "0.5, 1.0, 1.5, 2.0", [True] * 4),
+    # the envelopes hold but target < m0; then the admissible target 12
+    ("bounded_drift(1.0)", "5.0", "25, 50", [True] * 2),
+    ("bounded_drift(1.0)", "12.0", "25, 50", [False] * 2),
+])
+def test_cmd_moments_marks_inadmissible_rows(tmp_path, capsys, model, target,
+                                             x_grid, marked):
+    text = BOUNDED.format(out=tmp_path / "i", order=1).replace(
+        "bounded_drift(1.0)", model).replace(
+        "target = 12.0", f"target = {target}").replace(
+        "x_grid = 25, 50, 100", f"x_grid = {x_grid}")
+    assert main(["moments", "--config", _write(tmp_path, text)]) == 0
+    assert (f"{sum(marked)} of {len(marked)} rows inadmissible"
+            in capsys.readouterr().out) == any(marked)
+    lines = (tmp_path / "i" / "moment_bounds.csv").read_text().splitlines()
+    assert lines[1] == "x,lower,value,upper"
+    for line, mark in zip(lines[2:], marked, strict=True):
+        x, lo, v, hi = line.split(",")
+        float(x), float(v)
+        if mark:
+            assert lo == hi and lo.startswith("inadmissible: ")
+            assert ("drift_ratio_upper fails" in lo) == model.startswith("ou")
+            assert "needs m0 < target < x" in lo
+        else:
+            assert float(lo) <= float(v) <= float(hi)
 
 
 def test_cmd_moments_inadmissible_order(tmp_path, capsys):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ergodiff.diffusion import DiffusionModel, brownian, ou
-from ergodiff.errors import (ConfigError, DomainError, ExcessCensoringError,
-                             InsufficientCyclesError)
+from ergodiff.errors import (ConfigError, DomainError, EvaluationError,
+                             ExcessCensoringError, InsufficientCyclesError,
+                             NumericalBlowupError)
 from ergodiff.simulator import (InitialLaw, SimConfig, estimate_constants,
                                 estimate_deviation_prob,
                                 estimate_hitting_moments, nu_moment_estimate,
@@ -183,10 +184,52 @@ def test_numerical_blowup_guard():
     outward = DiffusionModel(lambda x: np.asarray(x, dtype=float),
                              lambda x: np.ones_like(np.asarray(x, dtype=float)),
                              label="outward")
-    from ergodiff.errors import NumericalBlowupError
     with pytest.raises(NumericalBlowupError):
         simulate_paths(outward, _cfg(horizon=20.0, initial=5.0, replicas=1,
                                      blowup_guard=1e4), INDICATOR)
+
+
+NAN_PAST = lambda x: np.where(x > 0.6, np.nan, -x)
+ONE = lambda x: np.ones_like(x)
+FAILING_STEPS = {
+    # name: (drift, sigma, x0, blowup_guard, error).  Each check of a step
+    # alone, then pairs that show their order: the guard, sigma^2 > 0 (after
+    # sigma is finite), the drift.  The NaN cases start inside the region
+    # and fail once a path wanders past x = 0.6.
+    "drift-nan": (NAN_PAST, ONE, 0.5, 1e9, EvaluationError),
+    "sigma-nan": (lambda x: -x, lambda x: np.where(x > 0.6, np.nan, 1.0),
+                  0.5, 1e9, EvaluationError),
+    "sigma-zero": (lambda x: -x, np.zeros_like, 0.5, 1e9, DomainError),
+    "outward": (lambda x: x, ONE, 5.0, 1e4, NumericalBlowupError),
+    "guard-before-drift": (NAN_PAST, ONE, 5.0, 1.0, NumericalBlowupError),
+    "sigma-before-drift": (NAN_PAST, np.zeros_like, 5.0, 1e9, DomainError),
+}
+
+
+@pytest.mark.parametrize("driver", ["hitting", "regeneration"])
+@pytest.mark.parametrize("case", sorted(FAILING_STEPS))
+def test_step_checks_raise_in_both_drivers(case, driver):
+    drift, sigma, x0, guard, error = FAILING_STEPS[case]
+    model = DiffusionModel(drift, sigma, label=case)
+    cfg = _cfg(horizon=10.0, replicas=50, initial=x0, blowup_guard=guard)
+    with pytest.raises(error):
+        if driver == "hitting":
+            estimate_hitting_moments(model, cfg, x0, -1.0, (1,))
+        else:
+            simulate_paths(model, cfg, INDICATOR)
+
+
+def test_scalar_only_drift_matches_array_twin():
+    # math.exp raises TypeError on an array, so this drift is evaluated point
+    # by point; its array-aware twin must give the same hitting times
+    scalar = lambda x: -x * math.exp(-x * x / 4.0)
+    twin = np.vectorize(scalar, otypes=[float])
+    cfg = _cfg(horizon=5.0, replicas=64, initial=1.0, crossing="bridge")
+    got, want = (estimate_hitting_moments(DiffusionModel(b, ONE), cfg, 1.0,
+                                          0.0, (1, 2, 3))
+                 for b in (scalar, twin))
+    assert got == want
+    assert got[0].n_used > 32
 
 
 def test_monte_carlo_matches_recursion_fifth_point():
