@@ -157,15 +157,16 @@ class DiffusionModel:
         the finiteness of the drift.  Each is screened by one reduction, and
         only a failing screen runs the elementwise check, which names the
         offending point (a NaN fails the screens but none of the checks).
+        The coefficients come from ``sigma_sq`` and ``drift``, so every
+        evaluation stays a call of those two methods.
         """
         if not abs(x).max(initial=0.0) <= guard \
                 and np.any(np.abs(x) > guard):
             raise NumericalBlowupError(
                 f"{self.label}: |X| exceeded guard {guard:g}; "
                 "is the model recurrent?")
-        s2 = self._sigma(x) ** 2
-        _check_positive(x, s2)
-        return self._drift(x), s2
+        s2 = self.sigma_sq(x)
+        return self.drift(x), s2
 
     def model_hash(self) -> str:
         payload = f"{self.label}|anchor={self.anchor}|quad={astuple(self.quad)}"

@@ -125,9 +125,7 @@ def vectorize_integrand(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
-    # a non-finite value makes the sum non-finite; only then (or when the
-    # sum overflows) does the elementwise check run
-    if not math.isfinite(ys.sum()) and not np.all(np.isfinite(ys)):
+    if not np.isfinite(ys).all():     # the ndarray method: no np.all wrapper
         bad = np.asarray(xs)[~np.isfinite(ys)]
         raise EvaluationError(f"integrand is non-finite near x={bad.flat[0]!r}")
 

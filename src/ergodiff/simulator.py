@@ -260,18 +260,16 @@ def _noise(cfg: SimConfig, block: int, n_rep: int):
 
 def _euler_cross(model: DiffusionModel, cfg: SimConfig, x: np.ndarray,
                  z: np.ndarray, u: np.ndarray | None, levels: tuple):
-    """One Euler step from x; returns (xn, rows, theta): the rows whose step
-    crosses a level (each a float or a per-row array), ascending, and the
-    step fraction of each one's first crossing.  With uniforms u, a
-    Brownian-bridge test also fires on same-side steps and places that
-    crossing mid-step."""
+    """One Euler step from x; returns (xn, rows, theta): the ascending rows
+    whose step crosses a level (each a float or a per-row array) and the step
+    fraction of each one's first crossing.  With uniforms u, a Brownian-bridge
+    test also fires on same-side steps and places that crossing mid-step."""
     h = cfg.step
     drift, s2 = model.step_coefficients(x, cfg.blowup_guard)
     xn = x + drift * h + np.sqrt(s2) * math.sqrt(h) * z
     found = []                      # (rows, fractions) per level and test
     for lvl in levels:
-        d0 = x - lvl
-        d1 = xn - lvl
+        d0, d1 = x - lvl, xn - lvl
         crossed = d0 * d1 <= 0.0
         rows = crossed.nonzero()[0]
         if rows.size:
@@ -315,13 +313,6 @@ def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
             if idx.size == 0:
                 break
     return hit
-
-
-def _simulate_hitting_times(model: DiffusionModel, cfg: SimConfig, x0: float,
-                            barriers: tuple) -> np.ndarray:
-    parts = _run_blocks(
-        lambda bid, cnt: _hit_block(model, cfg, x0, barriers, bid, cnt), cfg)
-    return np.concatenate(parts)
 
 
 # -- regeneration driver -----------------------------------------------------
@@ -397,9 +388,7 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
         if max_cycles is not None and pos.size:
             done = pr[n_r[g] >= max_cycles]
             if done.size:
-                keep = np.ones(idx.size, dtype=bool)
-                keep[done] = False
-                X, idx, level = X[keep], idx[keep], level[keep]
+                X, idx, level = (np.delete(v, done) for v in (X, idx, level))
                 rows = idx % n_rep
                 if idx.size == 0:
                     break
@@ -469,10 +458,6 @@ def _batch_se(values: np.ndarray, n_batches: int = 32) -> float:
     return float(np.std(means, ddof=1) / math.sqrt(nb))
 
 
-def _mean_se(values: np.ndarray) -> Estimate:
-    return Estimate(float(np.mean(values)), _batch_se(values))
-
-
 def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
                              target: float, orders, second_target=None
                              ) -> list[HittingEstimate]:
@@ -491,16 +476,26 @@ def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
     if x0 in barriers:
         return [HittingEstimate(0.0, 0.0, 0.0, k, cfg.replicas, False)
                 for k in orders]
-    times = _simulate_hitting_times(model, cfg, x0, barriers)
+    times = np.concatenate(_run_blocks(
+        lambda bid, cnt: _hit_block(model, cfg, x0, barriers, bid, cnt), cfg))
     censored = np.isnan(times)
     frac = float(np.mean(censored))
     if frac >= 0.5:
         raise ExcessCensoringError(
             f"{frac:.0%} of replicas censored at horizon {cfg.horizon:g}")
     good = times[~censored]
-    ests = [(k, _mean_se(good ** k)) for k in orders]
-    return [HittingEstimate(e.value, e.se, frac, k, good.size, frac > 0.0)
-            for k, e in ests]
+    out = []
+    for k in orders:
+        powers = good ** k
+        out.append(HittingEstimate(
+            estimate=float(np.mean(powers)),
+            stderr=_batch_se(powers),
+            censored_fraction=frac,
+            order=k,
+            n_used=good.size,
+            lower_bias_possible=frac > 0.0,
+        ))
+    return out
 
 
 def _probe_support(f, lo: float, hi: float, n: int = 4096):
@@ -596,27 +591,32 @@ def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
         first = np.hstack([
             np.array([s.first_block_abs for s in samples]).reshape(
                 starts.size, -1) for samples in parts])
-        ests = []
+        best = Estimate(-math.inf, 0.0)
         for x_start, vals in zip(starts, first):
             vals = vals[np.isfinite(vals)]
             if vals.size < 2:
                 raise InsufficientCyclesError(
                     f"first-block runs from x={x_start:g} rarely regenerate "
                     "within the horizon")
-            ests.append(_mean_se(vals))
-        c_f = max(ests, key=lambda e: e.value)   # the first of equal maxima
+            est = Estimate(float(np.mean(vals)), _batch_se(vals))
+            if est.value > best.value:
+                best = est
+        c_f = best
 
     return MomentEstimates(
         p=p,
         l_hat=Estimate(l_hat, l_se),
-        r1_centered_halfp=_mean_se(r1_centered),
-        r1_halfp=_mean_se(r1_halfp),
-        eta_p=_mean_se(eta),
-        r1_p_at_a=_mean_se(gap_p_pooled),
-        cycle_gap_p=_mean_se(gap_p_first),
+        r1_centered_halfp=Estimate(float(np.mean(r1_centered)),
+                                   _batch_se(r1_centered)),
+        r1_halfp=Estimate(float(np.mean(r1_halfp)), _batch_se(r1_halfp)),
+        eta_p=Estimate(float(np.mean(eta)), _batch_se(eta)),
+        r1_p_at_a=Estimate(float(np.mean(gap_p_pooled)),
+                           _batch_se(gap_p_pooled)),
+        cycle_gap_p=Estimate(float(np.mean(gap_p_first)),
+                             _batch_se(gap_p_first)),
         c_f_hat=c_f,
         mu_f_hat=Estimate(mu_hat, mu_se),
-        mean_cycle_time=_mean_se(all_gaps),
+        mean_cycle_time=Estimate(float(np.mean(all_gaps)), _batch_se(all_gaps)),
         n_cycles=int(all_gaps.size),
     )
 
@@ -675,5 +675,5 @@ def nu_moment_estimate(law: InitialLaw, exponent: float, n: int = 20000,
     gen = _stream(seed, 0, _KIND_AUX, 0)
     xs = law.sample(gen, n)
     vals = np.abs(xs) ** exponent
-    return _mean_se(vals)
+    return Estimate(float(np.mean(vals)), _batch_se(vals))
 
