@@ -21,11 +21,15 @@ Every check (the guard, sigma^2 > 0, finite drift, sigma and f) runs at
 every step as one screening reduction, elementwise only when the screen
 fails; crossing fractions are computed on the crossing rows only.
 
-Randomness is counter-based: replica r in block b consumes row (r mod B) of
-per-(seed, block, kind, chunk) Philox streams, so every replica's path is a
-pure function of (seed, replica index) -- independent of how many replicas
-run, of chunk scheduling, and of the thread count.  Reductions iterate
-blocks in index order, so results are bitwise reproducible.
+Randomness is counter-based: replica r in block b reads noise row (r mod B)
+of the block.  The block's rows form lanes of L consecutive rows; each lane
+has its own Philox counter range under one key per (seed, block, kind), and
+draws its rows' noise for a chunk of steps from a counter fixed by (lane,
+chunk).  A lane is drawn only while it holds a live replica, and every
+replica's path is a pure function of (seed, replica index) -- independent
+of how many replicas run, of which lanes are drawn, and of the thread
+count.  Reductions iterate blocks in index order, so results are bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
 
 _BLOCK = 4096       # replicas per stream block (fixed: part of the RNG layout)
 _CHUNK = 512        # steps per noise chunk (fixed: part of the RNG layout)
+_LANE = 8           # rows per noise lane (fixed: part of the RNG layout)
 _KIND_NORMAL = 0
 _KIND_UNIFORM = 1
 _KIND_INITIAL = 2
@@ -62,6 +67,26 @@ _NO_ROWS, _NO_FRACS = np.zeros(0, dtype=np.intp), np.zeros(0)  # no crossing
 def _stream(seed: int, block: int, kind: int, chunk: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block, kind, chunk))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _lane_stream(seed: int, block: int, kind: int):
+    """Return seek(lane, chunk): the one Generator of the (seed, block, kind)
+    key, set to the start of that lane's chunk, Philox counter
+    (0, lane, chunk, 0).  A lane's chunk consumes far fewer than 2^64
+    counter values, so no two lanes or chunks overlap."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block, kind))
+    bits = np.random.Philox(key=ss.generate_state(2, np.uint64))
+    gen = np.random.Generator(bits)
+    state = bits.state
+
+    def seek(lane: int, chunk: int) -> np.random.Generator:
+        state["state"]["counter"] = np.array([0, lane, chunk, 0], np.uint64)
+        state["buffer_pos"] = 4               # empty buffer: next draw is fresh
+        state["has_uint32"] = 0
+        bits.state = state
+        return gen
+
+    return seek
 
 
 @dataclass(frozen=True)
@@ -240,21 +265,31 @@ def _run_blocks(fn, cfg: SimConfig):
 
 # -- Euler/level-crossing kernel ------------------------------------------------
 
-def _noise(cfg: SimConfig, block: int, n_rep: int):
+def _noise(cfg: SimConfig, block: int, n_rep: int, live_rows):
     """Yield (step, normal column, uniform column or None) for every step.
 
-    Each Philox chunk is drawn when the driver first reaches it, into one
-    buffer per kind that is refilled in place, so a column is valid only
-    until the driver asks for the next step.
+    Lane k holds rows k*_LANE up to (k+1)*_LANE of the block and draws its
+    rows' noise for a chunk, row after row, from its own counter range (see
+    ``_lane_stream``), so a row's noise does not depend on the other lanes
+    or on the block's width.  At each chunk start ``live_rows()`` gives the
+    driver's live noise rows, and only the lanes holding one are refilled,
+    in place, into one buffer per kind.  A column is valid only until the
+    driver asks for the next step, and only at rows of those lanes.
     """
     Z = np.empty((n_rep, _CHUNK))
     U = np.empty((n_rep, _CHUNK)) if cfg.crossing == "bridge" else None
+    fills = [(Z, _lane_stream(cfg.seed, block, _KIND_NORMAL),
+              np.random.Generator.standard_normal)]
+    if U is not None:
+        fills.append((U, _lane_stream(cfg.seed, block, _KIND_UNIFORM),
+                      np.random.Generator.random))
     for step in range(cfg.n_steps):
         chunk, j = divmod(step, _CHUNK)
         if j == 0:
-            _stream(cfg.seed, block, _KIND_NORMAL, chunk).standard_normal(out=Z)
-            if U is not None:
-                _stream(cfg.seed, block, _KIND_UNIFORM, chunk).random(out=U)
+            for lane in np.unique(live_rows() // _LANE).tolist():
+                lo = lane * _LANE
+                for buf, seek, draw in fills:
+                    draw(seek(lane, chunk), out=buf[lo:lo + _LANE])
         yield step, Z[:, j], None if U is None else U[:, j]
 
 
@@ -301,7 +336,8 @@ def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
     X = np.full(n_rep, float(x0))
     idx = np.arange(n_rep)
     hit = np.full(n_rep, np.nan)
-    for step, z, u in _noise(cfg, block, n_rep):
+    # the lambda reads idx as it stands at each chunk start
+    for step, z, u in _noise(cfg, block, n_rep, lambda: idx):
         if idx.size < n_rep:                 # read the live rows' noise
             z, u = z[idx], None if u is None else u[idx]
         X, pos, theta = _euler_cross(model, cfg, X, z, u, barriers)
@@ -358,7 +394,8 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     additive = np.zeros((n_rows, cp_steps.size))
     cp_lookup = {int(s): i for i, s in enumerate(cp_steps)}
 
-    for step, z, u in _noise(cfg, block, n_rep):
+    # live noise rows at each chunk start: row g*n_rep + r reads noise row r
+    for step, z, u in _noise(cfg, block, n_rep, lambda: idx % n_rep):
         if rows is not None:
             z, u = z[rows], None if u is None else u[rows]
         xn, pos, theta = _euler_cross(model, cfg, X, z, u, (level,))
@@ -474,7 +511,9 @@ def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
     barriers = (float(target),) if second_target is None \
         else (float(target), float(second_target))
     if x0 in barriers:
-        return [HittingEstimate(0.0, 0.0, 0.0, k, cfg.replicas, False)
+        return [HittingEstimate(estimate=0.0, stderr=0.0,
+                                censored_fraction=0.0, order=k,
+                                n_used=cfg.replicas, lower_bias_possible=False)
                 for k in orders]
     times = np.concatenate(_run_blocks(
         lambda bid, cnt: _hit_block(model, cfg, x0, barriers, bid, cnt), cfg))

@@ -287,11 +287,11 @@ def test_cmd_deviation_fails_before_simulating(tmp_path, monkeypatch, change):
 # and version), recorded with separate constants and deviation runs
 SHARED_RUN_SHA256 = {
     "constants.csv":
-        "35f443605fe807647a90d5c7bcaade531470445d2539f9bb36ee7cd5594160b2",
+        "b5d3c6f2689f5cc456eef2af8c51ce1be4790df3e5dfb86186bbe6e44f13cfc6",
     "deviation.csv":
-        "c4d80e667a8404d48d8f0474f0b72923985a78f3cc0cde337c5a661d7d175b51",
+        "4c2d7ff945d49ee9e6bfd7b4e8ded349132c785a2801c5f806a3e111198381b3",
     "deviation_plot.dat":
-        "df244a1e5ccd51fdabd11eb1afdb45533b00075a9d6256d9162458b3876141b3",
+        "21809d82491de430ad4165e306be42bf7e5ec76909a004944982702faa49ca90",
 }
 
 

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import ergodiff.simulator as simulator
 from ergodiff.diffusion import DiffusionModel, brownian, ou
 from ergodiff.errors import (ConfigError, DomainError, EvaluationError,
                              ExcessCensoringError, InsufficientCyclesError,
                              NumericalBlowupError)
-from ergodiff.simulator import (InitialLaw, SimConfig, estimate_constants,
+from ergodiff.simulator import (CROSSING_RULES, InitialLaw, SimConfig,
+                                estimate_constants,
                                 estimate_deviation_prob,
                                 estimate_hitting_moments, nu_moment_estimate,
                                 simulate_paths)
@@ -330,32 +332,32 @@ def test_invariant_average_se_keeps_cycle_covariance(seed):
     assert est.mu_f_hat.se < 0.5 * independent
 
 
-# Simulator outputs recorded with ergodiff 0.1.0 (x86-64, NumPy 2.4); they
-# pin the paths across versions, where criterion 9 only compares reruns of
-# one version.  rel=1e-12 leaves room for ulp-level differences in exp
-# between CPUs and libms.
+# Simulator outputs recorded with the lane noise layout (ergodiff 0.1.0,
+# x86-64, NumPy 2.4); they pin the paths across versions, where criterion 9
+# only compares reruns of one version.  rel=1e-12 leaves room for ulp-level
+# differences in exp between CPUs and libms.
 PINNED_HITTING = {
     # (crossing, x0): (E T, its stderr, E T^2, replicas used)
-    ("interpolate", 0.5): (0.7726404641996053, 0.013487715735510391,
-                           1.3839435264736855, 4500),
-    ("interpolate", 0.0): (1.6276223156158016, 0.020552449512619246,
-                           4.589046640919113, 4495),
-    ("bridge", 0.5): (0.7009873731771546, 0.012973962797962656,
-                      1.190894256691037, 4500),
-    ("bridge", 0.0): (1.452393019956152, 0.0171193203172575,
-                      3.6465971871670684, 4497),
+    ("interpolate", 0.5): (0.7382907138488997, 0.011905570632724667,
+                           1.2794464546205455, 4500),
+    ("interpolate", 0.0): (1.6105025721534092, 0.022339940836791042,
+                           4.464505494884595, 4497),
+    ("bridge", 0.5): (0.6730585773862916, 0.012042681658090092,
+                      1.0927186600820502, 4500),
+    ("bridge", 0.0): (1.4363570651206399, 0.01853975558556322,
+                      3.548355961089132, 4500),
 }
 PINNED_REGENERATION = {
     # (crossing, run): (sum r_times, sum cycle_integrals, sum additive_at,
     #                   sum of finite first_block_abs)
-    ("interpolate", "checkpoints"): (3523.6518104024863, 701.8818589577877,
-                                     2455.9199999999614, 520.0903435401203),
-    ("interpolate", "max_cycles"): (2255.5329762564206, 437.9569949156511,
-                                    0.0, 520.0903435401203),
-    ("bridge", "checkpoints"): (3890.1802785100786, 773.273420303304,
-                                2455.9199999999614, 470.4324912137688),
-    ("bridge", "max_cycles"): (2174.2774395409447, 432.5273455182073,
-                               0.0, 470.4324912137688),
+    ("interpolate", "checkpoints"): (3575.2197874144476, 679.4001494286049,
+                                     2424.9899999999616, 543.9048090249223),
+    ("interpolate", "max_cycles"): (2398.5598806322564, 436.9817333309296,
+                                    0.0, 543.9048090249223),
+    ("bridge", "checkpoints"): (3849.123178946139, 734.521612923747,
+                                2424.9899999999616, 505.4415719995029),
+    ("bridge", "max_cycles"): (2317.8755222731215, 425.672622308767,
+                               0.0, 505.4415719995029),
 }
 
 
@@ -416,8 +418,8 @@ def test_shared_batch_matches_own_runs_and_must_fit():
 
 PINNED_FIRST_BLOCK = {
     # crossing: (c_f_hat value, its SE), recorded with one run per start
-    "interpolate": (2.7126193903578835, 0.026722038639037736),
-    "bridge": (2.525336463528617, 0.022573240430805306),
+    "interpolate": (2.7303020603113115, 0.03272185720504809),
+    "bridge": (2.552092304213753, 0.028890398314601277),
 }
 
 
@@ -433,3 +435,78 @@ def test_pinned_first_block_over_two_rng_blocks(crossing):
     est = estimate_constants(ou(1.0), cfg, f, 2.0, f_support=(0.0, 2.0),
                              support_grid_points=3, first_block_replicas=4100)
     assert (est.c_f_hat.value, est.c_f_hat.se) == PINNED_FIRST_BLOCK[crossing]
+
+
+def _count_lane_draws(monkeypatch) -> list:
+    """Count the lane refills of every noise stream from now on."""
+    draws = []
+    real = simulator._lane_stream
+
+    def counted(*args):
+        seek = real(*args)
+
+        def counted_seek(lane, chunk):
+            draws.append(lane)
+            return seek(lane, chunk)
+
+        return counted_seek
+
+    monkeypatch.setattr(simulator, "_lane_stream", counted)
+    return draws
+
+
+def _draw_all_lanes(monkeypatch):
+    """Make every chunk refill every lane of the block, live or not."""
+    real = simulator._noise
+    monkeypatch.setattr(simulator, "_noise", lambda cfg, block, n_rep, _: real(
+        cfg, block, n_rep, lambda: np.arange(n_rep)))
+
+
+@pytest.mark.parametrize("crossing", CROSSING_RULES)
+def test_live_lanes_draw_gives_the_all_lanes_hitting_outputs(monkeypatch,
+                                                             crossing):
+    # 4500 replicas: a full RNG block, then a partial one that ends in a
+    # partial lane
+    assert (4500 - simulator._BLOCK) % simulator._LANE
+    cfg = _cfg(step=5e-3, horizon=10.0, replicas=4500, seed=21,
+               crossing=crossing)
+    args = (ou(1.0), cfg, 0.5, 0.0, (1, 2))
+    draws = _count_lane_draws(monkeypatch)
+    live = estimate_hitting_moments(*args)
+    n_live = len(draws)
+    _draw_all_lanes(monkeypatch)
+    assert estimate_hitting_moments(*args) == live
+    assert n_live < (len(draws) - n_live) / 2
+
+
+def test_live_lanes_draw_gives_the_all_lanes_first_block_constants(
+        monkeypatch):
+    # three start groups share each noise row; a group's rows leave at their
+    # first regeneration, so the live lanes are those of any group's rows
+    cfg = _cfg(step=0.02, horizon=40.0, replicas=100, seed=5)
+    args = (ou(1.0), cfg, INDICATOR, 2.0)
+    kw = dict(f_support=(-0.5, 0.5), support_grid_points=3,
+              first_block_replicas=300)
+    draws = _count_lane_draws(monkeypatch)
+    live = estimate_constants(*args, **kw)
+    n_live = len(draws)
+    _draw_all_lanes(monkeypatch)
+    assert estimate_constants(*args, **kw) == live
+    assert n_live < len(draws) - n_live
+
+
+def _hitting_times(replicas: int, crossing: str) -> np.ndarray:
+    cfg = _cfg(step=5e-3, horizon=10.0, replicas=replicas, seed=21,
+               crossing=crossing)
+    return np.concatenate([
+        simulator._hit_block(ou(1.0), cfg, 0.5, (0.0,), block, n_rep)
+        for block, n_rep in simulator._block_layout(replicas)])
+
+
+@pytest.mark.parametrize("crossing", CROSSING_RULES)
+def test_replica_hitting_time_does_not_depend_on_replica_count(crossing):
+    # 10 replicas end in a partial lane, 4500 in a partial lane of the second
+    # block, 6144 in a full lane of it
+    t10, t4500, t6144 = (_hitting_times(n, crossing) for n in (10, 4500, 6144))
+    assert np.array_equal(t10, t4500[:10], equal_nan=True)
+    assert np.array_equal(t4500, t6144[:4500], equal_nan=True)
