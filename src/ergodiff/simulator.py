@@ -7,19 +7,30 @@ fires on same-side steps (probability exp(-2 d0 d1 / (sigma^2 h))), which
 removes the O(sqrt(h)) barrier-shift bias of pure sign-change detection at
 the cost of one extra uniform stream.
 
-One kernel, ``_euler_cross``, takes the Euler step and finds the crossing
-for both drivers: the hitting driver passes its one or two fixed barriers
-and drops replicas as they hit; the regeneration driver passes one level per
-replica (b while waiting for b, then a, updated at its events) and records
-each S- and R-event as arrays of (replica, time[, cycle integral]) per step,
-split into per-replica samples by one stable sort at the end of a block.
-First-block runs from several start points share noise rows: one block
-carries a group of rows per start, advanced as one state, so a step's fixed
-cost is paid once for all starts.
+One time-blocked kernel, ``_euler_block``, serves both drivers.  Per step it
+evaluates the coefficients and takes the Euler step into a (K + 1, rows)
+trajectory (and stores sigma^2 for the bridge test); the crossing tests, the
+crossing fractions (on the crossing entries only), f on one flat array, the
+running integrals (cumulative sums in step order, bitwise those of an
+in-place +=), checkpoints and event records run once per block of K steps,
+about _CELLS cells, never across a noise chunk.  Outputs do not depend on K.
+The hitting driver passes its one or two fixed barriers: a replica's hit is
+its first crossing in the block, and its later steps in the block are
+discarded.  The regeneration driver tests both levels over the block and
+walks each row's alternating events (b while waiting for b, then a), kept as
+arrays of (replica, time[, cycle integral]) and split into per-replica
+samples by one stable sort at the end.  With ``max_cycles`` no row may step
+past its last event, so the kernel tests each row's level per step and ends
+the block at the first event.  First-block runs from several start points
+share noise rows: one block carries a group of rows per start, advanced as
+one state, so a step's fixed cost is paid once for all starts.
 
 Every check (the guard, sigma^2 > 0, finite drift, sigma and f) runs at
-every step as one screening reduction, elementwise only when the screen
-fails; crossing fractions are computed on the crossing rows only.
+every step on every row of the state, as one screening reduction,
+elementwise only when the screen fails.  A check that fails inside a block
+ends it there; the steps before it are resolved and the step is retried
+with the rows still live, so errors keep their type, message and order, and
+a failure only on a replica that has already hit raises nothing.
 
 Randomness is counter-based: replica r in block b reads noise row (r mod B)
 of the block.  The block's rows form lanes of L consecutive rows; each lane
@@ -55,6 +66,7 @@ __all__ = [
 _BLOCK = 4096       # replicas per stream block (fixed: part of the RNG layout)
 _CHUNK = 512        # steps per noise chunk (fixed: part of the RNG layout)
 _LANE = 8           # rows per noise lane (fixed: part of the RNG layout)
+_CELLS = 1 << 14    # steps x rows per kernel block (outputs do not depend on it)
 _KIND_NORMAL = 0
 _KIND_UNIFORM = 1
 _KIND_INITIAL = 2
@@ -266,15 +278,17 @@ def _run_blocks(fn, cfg: SimConfig):
 # -- Euler/level-crossing kernel ------------------------------------------------
 
 def _noise(cfg: SimConfig, block: int, n_rep: int, live_rows):
-    """Yield (step, normal column, uniform column or None) for every step.
+    """Yield (first step, normals, uniforms or None) for every noise chunk.
 
-    Lane k holds rows k*_LANE up to (k+1)*_LANE of the block and draws its
-    rows' noise for a chunk, row after row, from its own counter range (see
-    ``_lane_stream``), so a row's noise does not depend on the other lanes
-    or on the block's width.  At each chunk start ``live_rows()`` gives the
-    driver's live noise rows, and only the lanes holding one are refilled,
-    in place, into one buffer per kind.  A column is valid only until the
-    driver asks for the next step, and only at rows of those lanes.
+    The arrays have one row per noise row of the block and one column per
+    step of the chunk.  Lane k holds rows k*_LANE up to (k+1)*_LANE and
+    draws its rows' noise for a chunk, row after row, from its own counter
+    range (see ``_lane_stream``), so a row's noise does not depend on the
+    other lanes or on the block's width.  At each chunk start
+    ``live_rows()`` gives the driver's live noise rows, and only the lanes
+    holding one are refilled, in place, into one buffer per kind.  The
+    arrays are valid only until the driver asks for the next chunk, and only
+    at rows of those lanes.
     """
     Z = np.empty((n_rep, _CHUNK))
     U = np.empty((n_rep, _CHUNK)) if cfg.crossing == "bridge" else None
@@ -283,71 +297,137 @@ def _noise(cfg: SimConfig, block: int, n_rep: int, live_rows):
     if U is not None:
         fills.append((U, _lane_stream(cfg.seed, block, _KIND_UNIFORM),
                       np.random.Generator.random))
-    for step in range(cfg.n_steps):
-        chunk, j = divmod(step, _CHUNK)
-        if j == 0:
-            for lane in np.unique(live_rows() // _LANE).tolist():
-                lo = lane * _LANE
-                for buf, seek, draw in fills:
-                    draw(seek(lane, chunk), out=buf[lo:lo + _LANE])
-        yield step, Z[:, j], None if U is None else U[:, j]
+    for chunk, start in enumerate(range(0, cfg.n_steps, _CHUNK)):
+        for lane in np.unique(live_rows() // _LANE).tolist():
+            lo = lane * _LANE
+            for buf, seek, draw in fills:
+                draw(seek(lane, chunk), out=buf[lo:lo + _LANE])
+        m = min(_CHUNK, cfg.n_steps - start)
+        yield start, Z[:, :m], None if U is None else U[:, :m]
 
 
-def _euler_cross(model: DiffusionModel, cfg: SimConfig, x: np.ndarray,
-                 z: np.ndarray, u: np.ndarray | None, levels: tuple):
-    """One Euler step from x; returns (xn, rows, theta): the ascending rows
-    whose step crosses a level (each a float or a per-row array) and the step
-    fraction of each one's first crossing.  With uniforms u, a Brownian-bridge
-    test also fires on same-side steps and places that crossing mid-step."""
-    h = cfg.step
-    drift, s2 = model.step_coefficients(x, cfg.blowup_guard)
-    xn = x + drift * h + np.sqrt(s2) * math.sqrt(h) * z
-    found = []                      # (rows, fractions) per level and test
-    for lvl in levels:
-        d0, d1 = x - lvl, xn - lvl
-        crossed = d0 * d1 <= 0.0
-        rows = crossed.nonzero()[0]
-        if rows.size:
-            c0 = d0[rows]
-            denom = c0 - d1[rows]
-            safe = np.where(denom == 0.0, 1.0, denom)
-            found.append((rows, np.clip(
-                np.where(denom == 0.0, 0.0, c0 / safe), 0.0, 1.0)))
-        if u is not None:
-            arg = -2.0 * d0 * d1 / (s2 * h)
-            fired = (~crossed) & (u < np.exp(np.minimum(arg, 0.0)))
-            rows = fired.nonzero()[0]
-            if rows.size:
-                found.append((rows, np.full(rows.size, 0.5)))
-    if len(found) < 2:
-        return (xn, *found[0]) if found else (xn, _NO_ROWS, _NO_FRACS)
-    theta = np.full(x.size, np.inf)   # the first crossing over all of them
-    for rows, frac in found:
-        theta[rows] = np.minimum(theta[rows], frac)
-    rows = (theta < np.inf).nonzero()[0]
-    return xn, rows, theta[rows]
+def _block_len(width: int, steps_left: int) -> int:
+    """Steps of the next block: about _CELLS cells, within the noise chunk."""
+    return min(steps_left, max(1, _CELLS // width))
+
+
+def _block_buffers(width: int, count: int) -> list:
+    """``count`` flat buffers, each holding the (K + 1, n) array of any
+    block n <= width rows wide (K n <= max(_CELLS, n)); blocks reuse them."""
+    size = min((_CHUNK + 1) * width, max(_CELLS, width) + width)
+    return [np.empty(size) for _ in range(count)]
+
+
+def _shaped(buf: np.ndarray, rows: int, width: int) -> np.ndarray:
+    return buf[:rows * width].reshape(rows, width)
+
+
+def _euler_block(model: DiffusionModel, cfg: SimConfig, T: np.ndarray,
+                 z: np.ndarray, s2_out: np.ndarray | None = None,
+                 level: np.ndarray | None = None, u: np.ndarray | None = None):
+    """Euler steps T[k] -> T[k + 1] with noise z[k], for k < K = len(z).
+
+    Returns (steps taken, crossing tests of the last step or None).  Every
+    step's checks run on every row of T.  A step that fails at k > 0 ends
+    the block there: the caller resolves the steps before it and retries
+    step k, with the rows still live, as the first step of the next block,
+    where a failure raises.  ``s2_out[k]`` receives sigma^2 at T[k].  With
+    ``level`` (one per row) each step runs that level's crossing tests, with
+    uniforms u[k], and the first step where one fires ends the block.
+    """
+    h, root_h = cfg.step, math.sqrt(cfg.step)
+    for k in range(len(z)):
+        x = T[k]
+        try:
+            drift, s2 = model.step_coefficients(x, cfg.blowup_guard)
+            np.add(x + drift * h, np.sqrt(s2) * root_h * z[k], out=T[k + 1])
+        except Exception:       # a check's error or the coefficients' own
+            if k == 0:
+                raise
+            return k, None      # deferred: the next block retries step k
+        if s2_out is not None:
+            s2_out[k] = s2
+        if level is not None:
+            tests = _crossing_tests(x, T[k + 1], level, s2,
+                                    None if u is None else u[k], h)
+            if tests[3].any():
+                return k + 1, tests
+    return len(z), None
+
+
+def _crossing_tests(x0: np.ndarray, x1: np.ndarray, lvl, s2, u, h: float):
+    """Level tests of the steps x0 -> x1, elementwise: (d0, d1, sign-change
+    mask, crossing mask).  With uniforms u, a Brownian-bridge test also
+    fires on same-side steps (s2 is sigma^2 at x0)."""
+    d0, d1 = x0 - lvl, x1 - lvl
+    crossed = d0 * d1 <= 0.0
+    if u is None:
+        return d0, d1, crossed, crossed
+    arg = -2.0 * d0 * d1 / (s2 * h)
+    fired = (~crossed) & (u < np.exp(np.minimum(arg, 0.0)))
+    return d0, d1, crossed, crossed | fired
+
+
+def _fractions(tests: tuple, at: tuple) -> np.ndarray:
+    """Step fraction of the crossing at each entry ``at`` (an index tuple)
+    whose test fired: sign changes interpolated, bridge firings mid-step."""
+    d0, d1, crossed, _ = tests
+    theta = np.full(at[0].size, 0.5)
+    sign = crossed[at]
+    at = tuple(i[sign] for i in at)
+    c0 = d0[at]
+    denom = c0 - d1[at]
+    safe = np.where(denom == 0.0, 1.0, denom)
+    theta[sign] = np.clip(np.where(denom == 0.0, 0.0, c0 / safe), 0.0, 1.0)
+    return theta
 
 
 # -- hitting-time driver -----------------------------------------------------
 
 def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
                barriers: tuple, block: int, n_rep: int) -> np.ndarray:
+    """Hitting times of one RNG block (nan: censored).  A replica that hits
+    steps on to the end of its kernel block; its hit is its first crossing
+    in the block, and the later steps are discarded."""
     h = cfg.step
-    X = np.full(n_rep, float(x0))
+    x = np.full(n_rep, float(x0))
     idx = np.arange(n_rep)
     hit = np.full(n_rep, np.nan)
+    t_buf, s2_buf = _block_buffers(n_rep, 2)
     # the lambda reads idx as it stands at each chunk start
-    for step, z, u in _noise(cfg, block, n_rep, lambda: idx):
-        if idx.size < n_rep:                 # read the live rows' noise
-            z, u = z[idx], None if u is None else u[idx]
-        X, pos, theta = _euler_cross(model, cfg, X, z, u, barriers)
-        if pos.size:
-            hit[idx[pos]] = step * h + theta * h
-            keep = np.ones(X.size, dtype=bool)
-            keep[pos] = False
-            X, idx = X[keep], idx[keep]
-            if idx.size == 0:
-                break
+    for start, Z, U in _noise(cfg, block, n_rep, lambda: idx):
+        j = 0
+        while idx.size and j < Z.shape[1]:
+            n = idx.size
+            rows = slice(None) if n == n_rep else idx  # live rows' noise
+            K = _block_len(n, Z.shape[1] - j)
+            T = _shaped(t_buf, K + 1, n)
+            T[0] = x
+            S2 = None if U is None else _shaped(s2_buf, K, n)
+            K, _ = _euler_block(model, cfg, T, Z[rows, j:j + K].T, S2)
+            u = None if U is None else U[rows, j:j + K].T
+            tests = [_crossing_tests(T[:K], T[1:K + 1], lvl,
+                                     None if S2 is None else S2[:K], u, h)
+                     for lvl in barriers]
+            fired = tests[0][3]
+            for t in tests[1:]:
+                fired = fired | t[3]
+            out = fired.any(axis=0)
+            cols = out.nonzero()[0]
+            x = T[K]
+            if cols.size:
+                k = fired[:, cols].argmax(axis=0)   # the first crossing step
+                theta = np.full(cols.size, np.inf)
+                for t in tests:
+                    on = t[3][k, cols]
+                    theta[on] = np.minimum(
+                        theta[on], _fractions(t, (k[on], cols[on])))
+                hit[idx[cols]] = (start + j + k) * h + theta * h
+                keep = ~out
+                x, idx = x[keep], idx[keep]
+            j += K
+        if idx.size == 0:
+            break
     return hit
 
 
@@ -362,6 +442,38 @@ def _split_by_replica(replica: list, n_rep: int, *columns: list) -> list:
             for col in columns]
 
 
+def _next_crossing(fired: np.ndarray) -> np.ndarray:
+    """(K + 1, n) table of the first step >= k whose test fired, else K."""
+    K = fired.shape[0]
+    first = np.where(fired, np.arange(K)[:, None], K)
+    table = np.full((K + 1, fired.shape[1]), K)
+    table[:K] = np.minimum.accumulate(first[::-1], axis=0)[::-1]
+    return table
+
+
+def _level_walk(level: np.ndarray, b: float, tests_a: tuple, tests_b: tuple):
+    """Yield rounds (steps k, rows, fractions) of each row's next crossing
+    of its level (a or b), given both levels' tests over a block of steps.
+    A row's search resumes after its last crossing; the caller switches the
+    levels of a round's rows before it asks for the next round."""
+    K = tests_a[3].shape[0]
+    next_a, next_b = _next_crossing(tests_a[3]), _next_crossing(tests_b[3])
+    at = np.zeros(level.size, dtype=np.intp)      # next step to test
+    cols = np.arange(level.size)
+    while True:
+        at_b = level[cols] == b
+        k = np.where(at_b, next_b[at[cols], cols], next_a[at[cols], cols])
+        found = k < K
+        if not found.any():
+            return
+        cols, k, at_b = cols[found], k[found], at_b[found]
+        theta = np.empty(cols.size)
+        theta[at_b] = _fractions(tests_b, (k[at_b], cols[at_b]))
+        theta[~at_b] = _fractions(tests_a, (k[~at_b], cols[~at_b]))
+        yield k, cols, theta
+        at[cols] = k + 1
+
+
 def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
                  n_rep: int, cp_steps: np.ndarray,
                  max_cycles: int | None, starts: np.ndarray | None = None):
@@ -371,18 +483,24 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     point in place of draws from cfg.initial; row r of every group reads
     noise row r, so each row's path is the one a point-law run from that
     start would give.  Samples come back group by group.
+
+    Per kernel block, f, the running integrals (cumulative sums in step
+    order) and the events run on whole arrays.  Full-horizon runs test both
+    levels over the block and walk each row's alternating events; with
+    ``max_cycles`` a row may not step past its last event, so the kernel
+    tests each row's level per step and ends the block at the first event.
     """
     h = cfg.step
     fv = vectorize_integrand(f)
 
     if starts is None:
-        X = cfg.initial.sample(_stream(cfg.seed, block, _KIND_INITIAL, 0),
+        x = cfg.initial.sample(_stream(cfg.seed, block, _KIND_INITIAL, 0),
                                n_rep)
     else:
-        X = np.repeat(starts, n_rep)
-    n_rows = X.size
+        x = np.repeat(starts, n_rep)
+    n_rows = x.size
     idx = np.arange(n_rows)
-    rows = None if starts is None else idx % n_rep  # noise rows (None: own)
+    rows = slice(None) if starts is None else idx % n_rep  # noise rows
     level = np.full(n_rows, cfg.b)            # each live row waits for b, then a
     cum_f = np.zeros(n_rows)
     cum_fabs = np.zeros(n_rows)
@@ -392,46 +510,77 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     s_rep, s_time = [], []                    # S-event records
     r_rep, r_time, r_cyc = [], [], []         # R-event records
     additive = np.zeros((n_rows, cp_steps.size))
-    cp_lookup = {int(s): i for i, s in enumerate(cp_steps)}
+    stop = max_cycles is not None             # rows leave at their events
+    bridge = cfg.crossing == "bridge"
+    t_buf, s2_buf, f_buf, fa_buf = _block_buffers(n_rows, 4)
+
+    def record(step0, k, cols, theta, fx, F, FA):
+        """Events of rows ``cols`` at block steps k, one per row."""
+        te = (step0 + k) * h + theta * h
+        at_b = level[cols] == cfg.b
+        s_rep.append(idx[cols[at_b]])
+        s_time.append(te[at_b])
+        at_a = ~at_b
+        pk, pc, th = k[at_a], cols[at_a], theta[at_a]
+        g = idx[pc]
+        pf = F[pk, pc] + fx[pk, pc] * th * h
+        pfa = FA[pk, pc] + np.abs(fx[pk, pc]) * th * h
+        first = n_r[g] == 0
+        first_fabs[g[first]] = pfa[first]
+        r_rep.append(g)
+        r_time.append(te[at_a])
+        r_cyc.append(pf - anchor_f[g])        # at R_1: the first block
+        anchor_f[g] = pf
+        n_r[g] += 1
+        level[cols] = np.where(at_b, cfg.a, cfg.b)
+        return pc[n_r[g] >= max_cycles] if stop else None
 
     # live noise rows at each chunk start: row g*n_rep + r reads noise row r
-    for step, z, u in _noise(cfg, block, n_rep, lambda: idx % n_rep):
-        if rows is not None:
-            z, u = z[rows], None if u is None else u[rows]
-        xn, pos, theta = _euler_cross(model, cfg, X, z, u, (level,))
-        fx = fv(X)
-        if pos.size:
-            te = step * h + theta * h
-            at_b = level[pos] == cfg.b
-            s_rep.append(idx[pos[at_b]])
-            s_time.append(te[at_b])
-            at_a = ~at_b
-            pr, th = pos[at_a], theta[at_a]
-            g = idx[pr]
-            pf = cum_f[g] + fx[pr] * th * h
-            pfa = cum_fabs[g] + np.abs(fx[pr]) * th * h
-            first = n_r[g] == 0
-            first_fabs[g[first]] = pfa[first]
-            r_rep.append(g)
-            r_time.append(te[at_a])
-            r_cyc.append(pf - anchor_f[g])    # at R_1: the first block
-            anchor_f[g] = pf
-            n_r[g] += 1
-            level[pos] = np.where(at_b, cfg.a, cfg.b)
-        live = slice(None) if idx.size == n_rows else idx  # in place if all
-        cum_f[live] += fx * h
-        cum_fabs[live] += np.abs(fx) * h
-        X = xn
-        if max_cycles is not None and pos.size:
-            done = pr[n_r[g] >= max_cycles]
-            if done.size:
-                X, idx, level = (np.delete(v, done) for v in (X, idx, level))
-                rows = idx % n_rep
-                if idx.size == 0:
-                    break
-        ci = cp_lookup.get(step + 1)
-        if ci is not None:
-            additive[:, ci] = cum_f
+    for start, Z, U in _noise(cfg, block, n_rep, lambda: idx % n_rep):
+        j = 0
+        while idx.size and j < Z.shape[1]:
+            n = idx.size
+            K = _block_len(n, Z.shape[1] - j)
+            T = _shaped(t_buf, K + 1, n)
+            T[0] = x
+            S2 = _shaped(s2_buf, K, n) if bridge and not stop else None
+            u = None if U is None else U[rows, j:j + K].T
+            K, last = _euler_block(model, cfg, T, Z[rows, j:j + K].T, S2,
+                                   level if stop else None, u)
+            step0 = start + j
+            j += K
+            x = T[K]
+            T = T[:K + 1]
+            fx = fv(T[:K].reshape(-1)).reshape(K, n)
+            live = slice(None) if n == n_rows else idx
+            F, FA = _shaped(f_buf, K + 1, n), _shaped(fa_buf, K + 1, n)
+            F[0], FA[0] = cum_f[live], cum_fabs[live]
+            np.multiply(fx, h, out=F[1:])
+            np.abs(fx, out=FA[1:])
+            FA[1:] *= h
+            np.cumsum(F, axis=0, out=F)       # adds in step order, as += does
+            np.cumsum(FA, axis=0, out=FA)
+            cum_f[live], cum_fabs[live] = F[K], FA[K]
+            for ci in np.flatnonzero((cp_steps > step0)
+                                     & (cp_steps <= step0 + K)):
+                additive[:, ci] = F[cp_steps[ci] - step0]
+            if not stop:
+                tests_a, tests_b = (_crossing_tests(
+                    T[:K], T[1:], lvl, None if S2 is None else S2[:K],
+                    None if u is None else u[:K], h) for lvl in (cfg.a, cfg.b))
+                for k, cols, theta in _level_walk(level, cfg.b, tests_a,
+                                                  tests_b):
+                    record(step0, k, cols, theta, fx, F, FA)
+            elif last is not None:
+                cols = last[3].nonzero()[0]
+                done = record(step0, np.full(cols.size, K - 1), cols,
+                              _fractions(last, (cols,)), fx, F, FA)
+                if done.size:
+                    x, idx, level = (np.delete(v, done)
+                                     for v in (x, idx, level))
+                    rows = idx % n_rep
+        if idx.size == 0:
+            break
 
     s_times, = _split_by_replica(s_rep, n_rows, s_time)
     r_times, cycles = _split_by_replica(r_rep, n_rows, r_time, r_cyc)

@@ -221,6 +221,29 @@ def test_step_checks_raise_in_both_drivers(case, driver):
             simulate_paths(model, cfg, INDICATOR)
 
 
+NAN_BELOW = lambda x: np.where(x < -0.3, np.nan, -x)
+AFTER_HIT = {
+    # crossing: E T of the hit of 0 from x0 = 0.5 under a drift that is NaN
+    # below -0.3.  Only replicas that have hit get there; a replica steps on
+    # to the end of its kernel block after its hit, and a check that fails
+    # there must raise nothing and change nothing.  Recorded with each
+    # replica dropped at its hit (rel=1e-12: see the pinned values below).
+    "interpolate": 0.7945897946457603,
+    "bridge": 0.7070990939657583,
+}
+
+
+@pytest.mark.parametrize("crossing", sorted(AFTER_HIT))
+def test_step_checks_after_a_hit_raise_nothing(crossing):
+    model = DiffusionModel(NAN_BELOW, ONE, label="nan-below")
+    cfg = _cfg(step=5e-3, horizon=10.0, replicas=500, seed=3, initial=0.5,
+               crossing=crossing)
+    # all="raise" would also trip the bridge test's exp underflow
+    with np.errstate(invalid="raise", divide="raise", over="raise"):
+        est, = estimate_hitting_moments(model, cfg, 0.5, 0.0, (1,))
+    assert est.estimate == pytest.approx(AFTER_HIT[crossing], rel=1e-12)
+
+
 def test_scalar_only_drift_matches_array_twin():
     # math.exp raises TypeError on an array, so this drift is evaluated point
     # by point; its array-aware twin must give the same hitting times
@@ -232,6 +255,27 @@ def test_scalar_only_drift_matches_array_twin():
                  for b in (scalar, twin))
     assert got == want
     assert got[0].n_used > 32
+
+
+def _batch_bytes(batch) -> list:
+    """Every number of a BatchResult, bit for bit (nan included)."""
+    arrays = [batch.checkpoints, batch.additive_at]
+    for s in batch.samples:
+        arrays += [s.r_times, s.s_times, s.cycle_integrals,
+                   np.array([s.first_block_abs, s.n_t, s.additive_integral])]
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def test_scalar_only_integrand_matches_array_twin():
+    # the regeneration driver evaluates f over whole kernel blocks; a scalar
+    # f must see them as one flat array of points
+    scalar = lambda x: math.exp(-x * x)
+    twin = np.vectorize(scalar, otypes=[float])
+    cfg = _cfg(step=5e-3, horizon=10.0, replicas=40)
+    got, want = (_batch_bytes(simulate_paths(ou(1.0), cfg, g,
+                                             checkpoints=[2.5, 5.0, 10.0]))
+                 for g in (scalar, twin))
+    assert got == want
 
 
 def test_monte_carlo_matches_recursion_fifth_point():
@@ -510,3 +554,43 @@ def test_replica_hitting_time_does_not_depend_on_replica_count(crossing):
     t10, t4500, t6144 = (_hitting_times(n, crossing) for n in (10, 4500, 6144))
     assert np.array_equal(t10, t4500[:10], equal_nan=True)
     assert np.array_equal(t4500, t6144[:4500], equal_nan=True)
+
+
+def _regeneration_run(crossing: str, run: str):
+    if run == "constants":      # three starts share each noise row
+        cfg = _cfg(step=0.02, horizon=40.0, replicas=100, seed=5,
+                   crossing=crossing)
+        return estimate_constants(
+            ou(1.0), cfg, INDICATOR, 2.0, f_support=(-0.5, 0.5),
+            support_grid_points=3, first_block_replicas=300)
+    cfg = _cfg(step=5e-3, horizon=10.0, replicas=300, seed=22,
+               crossing=crossing)
+    kw = dict(checkpoints=[2.5, 5.0, 10.0]) if run == "checkpoints" \
+        else dict(max_cycles=int(run[-1]))
+    return _batch_bytes(simulate_paths(ou(1.0), cfg, INDICATOR, **kw))
+
+
+def _hitting_run(crossing: str, run: str):
+    # 4500 replicas: two RNG blocks
+    cfg = _cfg(step=5e-3, horizon=10.0, replicas=4500, seed=21,
+               crossing=crossing)
+    second = 1.0 if run == "two barriers" else None
+    return estimate_hitting_moments(ou(1.0), cfg, 0.5, 0.0, (1, 2), second)
+
+
+BLOCK_LENGTH_RUNS = {
+    "checkpoints": _regeneration_run, "max_cycles=1": _regeneration_run,
+    "max_cycles=2": _regeneration_run, "constants": _regeneration_run,
+    "one barrier": _hitting_run, "two barriers": _hitting_run,
+}
+
+
+@pytest.mark.parametrize("run", list(BLOCK_LENGTH_RUNS))
+@pytest.mark.parametrize("crossing", CROSSING_RULES)
+def test_kernel_block_length_changes_no_output(monkeypatch, crossing, run):
+    # one step per kernel block, then one whole noise chunk per block (for
+    # every block width here), must give the default blocks' outputs
+    want = BLOCK_LENGTH_RUNS[run](crossing, run)
+    for cells in (1, simulator._CHUNK * simulator._BLOCK):
+        monkeypatch.setattr(simulator, "_CELLS", cells)
+        assert BLOCK_LENGTH_RUNS[run](crossing, run) == want
