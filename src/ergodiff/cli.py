@@ -9,7 +9,7 @@ Subcommands:
 Exit codes: 0 success, 1 config error, 2 numerical failure, 3 a bound was
 violated beyond its confidence slack.  Every output file starts with a
 header line carrying the config hash and the tool version; identical config
-and seed reproduce outputs byte for byte regardless of thread count.
+and seed reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -195,6 +195,8 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
         raise ConfigError("deviation needs f= in [experiment]")
     _check_deviation_grid(cfg.sim, cfg.t_grid, cfg.eps_grid)
     p = cfg.p
+    if not p > 1:
+        raise ConfigError(f"[experiment] p must be > 1, got {p:g}")
     c_p = cfg.bdg_constant if cfg.bdg_constant is not None \
         else default_bdg_constant(p)
 
@@ -393,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--replicas", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--threads", type=int, default=None)
     st = sub.add_parser("selftest")
     st.add_argument("--out", default=None)
     return ap
@@ -405,7 +406,7 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             return cmd_selftest(args.out)
         cfg = load_config(args.config, seed=args.seed, replicas=args.replicas,
-                          tol=args.tol, out=args.out, threads=args.threads)
+                          tol=args.tol, out=args.out)
         if args.command == "model":
             return cmd_model(cfg)
         if args.command == "moments":

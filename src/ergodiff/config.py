@@ -29,6 +29,17 @@ __all__ = ["ExperimentConfig", "FunctionSpec", "load_config", "parse_model",
 _MODEL_RE = re.compile(r"^\s*(brownian|ou|bounded_drift)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
 _CALL_RE = re.compile(r"^\s*(point|uniform|gaussian)\s*\(\s*([^)]*)\s*\)\s*$")
 _INDICATOR_RE = re.compile(r"^\s*indicator\s*\(\s*([^,]+)\s*,\s*([^)]+)\s*\)\s*$")
+# every key load_config reads, by section; any other section or key is an error
+_KEYS = {
+    "diffusion": {"model", "drift", "diffusion", "tol", "anchor",
+                  "probe_limit"},
+    "assumptions": {"m0", "sigma0", "gamma", "r", "sigma1", "delta", "r_cap"},
+    "sim": {"step", "horizon", "replicas", "seed", "a", "b", "initial",
+            "crossing", "blowup_guard"},
+    "experiment": {"f", "p", "bdg_constant", "t_grid", "eps_grid", "out",
+                   "target", "side", "x_grid", "orders", "bound_order",
+                   "constants_replicas", "mu_f", "bounds"},
+}
 
 
 @dataclass(frozen=True)
@@ -150,13 +161,13 @@ def parse_initial_law(text: str) -> InitialLaw:
 
 def load_config(path: str, seed: int | None = None,
                 replicas: int | None = None, tol: float | None = None,
-                out: str | None = None, threads: int | None = None
-                ) -> ExperimentConfig:
+                out: str | None = None) -> ExperimentConfig:
     """Read and validate an experiment file; CLI overrides win.
 
-    The config hash covers the file bytes plus the semantic overrides (seed,
-    replicas, tol) but not the thread count, so outputs are byte-identical
-    across thread counts.
+    An unknown section or key is a ConfigError, so a misspelt key cannot
+    silently fall back to its default.  The config hash covers the file
+    bytes plus the semantic overrides (seed, replicas, tol) but not the
+    output directory.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -168,8 +179,20 @@ def load_config(path: str, seed: int | None = None,
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
+    sections = {name.lower(): parser[name] for name in parser.sections()}
+    if len(sections) < len(parser.sections()):
+        raise ConfigError("a section is given twice (names are "
+                          "case-insensitive)")
+    unknown = sorted(set(sections) - set(_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown section(s): {', '.join(unknown)}")
+    for name, sec in sections.items():
+        unknown = sorted(set(sec) - _KEYS[name])
+        if unknown:
+            raise ConfigError(f"[{name}] unknown key(s): {', '.join(unknown)}")
+
     def section(name):
-        return parser[name] if parser.has_section(name) else {}
+        return sections.get(name, {})
 
     diff_sec = section("diffusion")
     exp_sec = section("experiment")
@@ -224,8 +247,6 @@ def load_config(path: str, seed: int | None = None,
             initial=parse_initial_law(sim_sec["initial"]),
             crossing=sim_sec.get("crossing", "interpolate"),
             blowup_guard=float(sim_sec.get("blowup_guard", 1e9)),
-            threads=int(threads if threads is not None
-                        else int(sim_sec.get("threads", 1))),
         )
 
     f_def = None

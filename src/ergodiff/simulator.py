@@ -38,15 +38,13 @@ has its own Philox counter range under one key per (seed, block, kind), and
 draws its rows' noise for a chunk of steps from a counter fixed by (lane,
 chunk).  A lane is drawn only while it holds a live replica, and every
 replica's path is a pure function of (seed, replica index) -- independent
-of how many replicas run, of which lanes are drawn, and of the thread
-count.  Reductions iterate blocks in index order, so results are bitwise
-reproducible.
+of how many replicas run and of which lanes are drawn.  Blocks run one after
+another in index order, so results are bitwise reproducible.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,12 +101,10 @@ def _lane_stream(seed: int, block: int, kind: int):
 
 @dataclass(frozen=True)
 class InitialLaw:
-    """Initial distribution: point mass, uniform, gaussian, or a rejection
-    sampler for an unnormalized density on a box."""
+    """Initial distribution: point mass, uniform or gaussian."""
 
     kind: str
     params: tuple = ()
-    density: object = None
 
     @classmethod
     def point(cls, x0: float) -> "InitialLaw":
@@ -126,36 +122,14 @@ class InitialLaw:
             raise ConfigError("gaussian law needs sd > 0")
         return cls("gaussian", (float(mean), float(sd)))
 
-    @classmethod
-    def rejection(cls, density, lo: float, hi: float, cap: float) -> "InitialLaw":
-        if not lo < hi or cap <= 0:
-            raise ConfigError("rejection law needs lo < hi and cap > 0")
-        return cls("density", (float(lo), float(hi), float(cap)),
-                   vectorize_integrand(density))
-
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "point":
             return np.full(n, self.params[0])
         if self.kind == "uniform":
             lo, hi = self.params
             return gen.uniform(lo, hi, size=n)
-        if self.kind == "gaussian":
-            mean, sd = self.params
-            return mean + sd * gen.standard_normal(n)
-        lo, hi, cap = self.params
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            xs = gen.uniform(lo, hi, size=2 * (n - filled) + 16)
-            us = gen.uniform(0.0, cap, size=xs.size)
-            dens = self.density(xs)
-            if np.any(dens > cap):
-                raise ConfigError("rejection density exceeds its cap")
-            acc = xs[us < dens]
-            take = min(acc.size, n - filled)
-            out[filled:filled + take] = acc[:take]
-            filled += take
-        return out
+        mean, sd = self.params
+        return mean + sd * gen.standard_normal(n)
 
 
 @dataclass(frozen=True)
@@ -171,7 +145,6 @@ class SimConfig:
     initial: InitialLaw | float
     crossing: str = "interpolate"
     blowup_guard: float = 1e9
-    threads: int = 1
 
     def __post_init__(self):
         if self.step <= 0:
@@ -186,8 +159,6 @@ class SimConfig:
             raise ConfigError("regeneration pair needs a < b")
         if self.crossing not in CROSSING_RULES:
             raise ConfigError(f"crossing must be one of {CROSSING_RULES}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if isinstance(self.initial, (int, float)):
             object.__setattr__(self, "initial", InitialLaw.point(self.initial))
 
@@ -221,9 +192,6 @@ class Estimate:
     value: float
     se: float
 
-    def within(self, truth: float, n_se: float = 3.0) -> bool:
-        return abs(self.value - truth) <= n_se * self.se
-
 
 @dataclass(frozen=True)
 class MomentEstimates:
@@ -249,7 +217,6 @@ class HittingEstimate:
     censored_fraction: float
     order: int
     n_used: int
-    lower_bias_possible: bool
 
 
 @dataclass(frozen=True)
@@ -267,12 +234,7 @@ def _block_layout(n: int):
 
 
 def _run_blocks(fn, cfg: SimConfig):
-    layout = _block_layout(cfg.replicas)
-    if cfg.threads == 1 or len(layout) == 1:
-        return [fn(bid, cnt) for bid, cnt in layout]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [pool.submit(fn, bid, cnt) for bid, cnt in layout]
-        return [f.result() for f in futures]
+    return [fn(bid, cnt) for bid, cnt in _block_layout(cfg.replicas)]
 
 
 # -- Euler/level-crossing kernel ------------------------------------------------
@@ -662,7 +624,7 @@ def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
     if x0 in barriers:
         return [HittingEstimate(estimate=0.0, stderr=0.0,
                                 censored_fraction=0.0, order=k,
-                                n_used=cfg.replicas, lower_bias_possible=False)
+                                n_used=cfg.replicas)
                 for k in orders]
     times = np.concatenate(_run_blocks(
         lambda bid, cnt: _hit_block(model, cfg, x0, barriers, bid, cnt), cfg))
@@ -681,7 +643,6 @@ def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
             censored_fraction=frac,
             order=k,
             n_used=good.size,
-            lower_bias_possible=frac > 0.0,
         ))
     return out
 

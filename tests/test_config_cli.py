@@ -58,9 +58,27 @@ def test_overrides_and_hash(tmp_path):
     c2 = load_config(path, seed=7, replicas=100)
     assert c2.sim.seed == 7 and c2.sim.replicas == 100
     assert c1.config_hash != c2.config_hash
-    c3 = load_config(path, threads=8)
-    assert c3.config_hash == c1.config_hash  # threads excluded from the hash
-    assert c3.sim.threads == 8
+
+
+@pytest.mark.parametrize("added, names", [
+    ("threads = 2", ("[sim]", "threads")),
+    ("crosing = bridge", ("[sim]", "crosing")),
+    ("[simulation]\nstep = 1e-3", ("simulation",))],
+    ids=["key", "misspelt-key", "section"])
+def test_unknown_key_or_section_is_a_config_error(tmp_path, capsys, added,
+                                                  names):
+    text = FULL.format(out=tmp_path / "o").replace(
+        "initial = point(0.0)", "initial = point(0.0)\n" + added)
+    assert main(["model", "--config", _write(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert all(name in err for name in names)
+
+
+def test_section_names_are_case_insensitive(tmp_path):
+    text = FULL.format(out=tmp_path / "o").replace("[sim]", "[SIM]")
+    assert load_config(_write(tmp_path, text)).sim.replicas == 2400
+    with pytest.raises(ConfigError):
+        load_config(_write(tmp_path, text + "\n[sim]\nstep = 1e-3\n"))
 
 
 def test_parse_model_variants():
@@ -246,11 +264,6 @@ def test_cmd_deviation_roundtrip_and_determinism(tmp_path):
                  str(tmp_path / "d2")]) == 0
     second = (tmp_path / "d2" / "deviation.csv").read_bytes()
     assert first == second
-    # thread count does not alter bytes
-    assert main(["deviation", "--config", path, "--out",
-                 str(tmp_path / "d8"), "--threads", "8"]) == 0
-    third = (tmp_path / "d8" / "deviation.csv").read_bytes()
-    assert first == third
 
 
 def test_cmd_deviation_inadmissible_eps_cells(tmp_path):
@@ -271,13 +284,15 @@ def test_cmd_deviation_empty_t_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("change", [("horizon = 20", "horizon = 15"),
-                                    ("replicas = 2400", "replicas = 99")])
+                                    ("replicas = 2400", "replicas = 99"),
+                                    ("p = 2", "p = 1")])
 def test_cmd_deviation_fails_before_simulating(tmp_path, monkeypatch, change):
     def no_run(*args, **kwargs):
-        raise AssertionError("simulated before the grid checks")
+        raise AssertionError("simulated before the config checks")
 
     monkeypatch.setattr("ergodiff.simulator.simulate_paths", no_run)
     monkeypatch.setattr("ergodiff.cli.simulate_paths", no_run, raising=False)
+    monkeypatch.setattr("ergodiff.cli._mu_values", no_run)
     text = FULL.format(out=tmp_path / "ff").replace(*change)
     assert main(["deviation", "--config", _write(tmp_path, text)]) == 1
     assert not (tmp_path / "ff" / "constants.csv").exists()
