@@ -335,8 +335,8 @@ def ergodic_bound_l1(c: DeviationConstants, t: float, eps: float,
                      ) -> BoundBreakdown:
     """L1(mu) deviation bound for bounded, compactly supported f.
 
-    Uses the cycle-integral constant ``c_f`` (sup over start points of the
-    mean cycle integral of |f|) directly in place of the local-time route;
+    Uses the cycle-integral constant c_f = sup_x E_x int_0^{R_1} |f(X_s)| ds
+    (``kac.first_block_sup``) directly in place of the local-time route;
     the mean-cycle value |mu(f)|/l is dominated by c_f, which keeps every
     f-dependent term proportional to c_f^p.  Integer p >= 2 only.
     """

@@ -32,8 +32,8 @@ from .bounds import (DeviationConstants, DeviationReport, MomentBoundParams,
 from .config import ExperimentConfig, load_config
 from .errors import (ConfigError, ErgodiffError, InconsistentParamsError,
                      RangeError)
-from .kac import hitting_moment_table, simultaneity_check
-from .simulator import (_check_deviation_grid, estimate_constants,
+from .kac import first_block_sup, hitting_moment_table, simultaneity_check
+from .simulator import (Estimate, _check_deviation_grid, estimate_constants,
                         estimate_deviation_prob, simulate_paths)
 
 EXIT_OK = 0
@@ -205,6 +205,9 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
         mu_abs = abs(cfg.mu_f)
     else:
         mu_f, mu_abs = _mu_values(cfg)
+    # the L1 bound's cycle-integral constant, exact; it needs a compact supp f
+    c_f = math.nan if cfg.f.support is None else first_block_sup(
+        cfg.model, cfg.sim.a, cfg.sim.b, cfg.f.fn, cfg.f.support)
 
     # with one SimConfig for both estimators, one run serves both: the
     # checkpoints only read the running integral, not the paths
@@ -215,8 +218,7 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
                                checkpoints=cfg.t_grid)
     else:
         const_cfg = replace(cfg.sim, replicas=cfg.constants_replicas)
-    est = estimate_constants(cfg.model, const_cfg, cfg.f.fn, p,
-                             f_support=cfg.f.support, batch=batch)
+    est = estimate_constants(cfg.model, const_cfg, cfg.f.fn, p, batch=batch)
     consts = DeviationConstants(
         l=est.l_hat.value, p=p, c_p=c_p,
         r1_centered_halfp=est.r1_centered_halfp.value,
@@ -235,7 +237,6 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
         r1_p_at_a=est.r1_p_at_a.value + est.r1_p_at_a.se,
         cycle_gap_p=est.cycle_gap_p.value + est.cycle_gap_p.se,
     )
-    c_f_hi = est.c_f_hat.value + est.c_f_hat.se
 
     cpath = _out_path(cfg, "constants.csv")
     with open(cpath, "w", newline="") as fh:
@@ -246,13 +247,12 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
                 ("r1_centered_halfp", est.r1_centered_halfp),
                 ("r1_halfp", est.r1_halfp), ("eta_p", est.eta_p),
                 ("r1_p_at_a", est.r1_p_at_a),
-                ("cycle_gap_p", est.cycle_gap_p),
-                ("c_f_hat", est.c_f_hat), ("mu_f_hat", est.mu_f_hat)]
-        for name, e in rows:
-            w.writerow([name, _fmt(e.value), _fmt(e.se)])
-        w.writerow(["mu_f_used", _fmt(mu_f), ""])
-        w.writerow(["mu_abs_f_used", _fmt(mu_abs), ""])
-        w.writerow(["bdg_constant", _fmt(c_p), ""])
+                ("cycle_gap_p", est.cycle_gap_p), ("c_f", c_f),
+                ("mu_f_hat", est.mu_f_hat), ("mu_f_used", mu_f),
+                ("mu_abs_f_used", mu_abs), ("bdg_constant", c_p)]
+        for name, v in rows:     # exact values have no stderr
+            w.writerow([name, _fmt(v.value), _fmt(v.se)]
+                       if isinstance(v, Estimate) else [name, _fmt(v), ""])
 
     emp = estimate_deviation_prob(cfg.model, cfg.sim, cfg.f.fn,
                                   cfg.t_grid, cfg.eps_grid, mu_f, batch=batch)
@@ -269,11 +269,13 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
                         hi = ergodic_bound_sup(consts_hi, float(t),
                                                float(eps), cfg.f.sup)
                     else:
+                        if cfg.f.support is None:
+                            raise RangeError(
+                                "L1 bound needs a compactly supported f")
                         br = ergodic_bound_l1(consts, float(t), float(eps),
-                                              mu_abs, est.c_f_hat.value,
-                                              int(p))
+                                              mu_abs, c_f, int(p))
                         hi = ergodic_bound_l1(consts_hi, float(t), float(eps),
-                                              mu_abs, c_f_hi, int(p))
+                                              mu_abs, c_f, int(p))
                     bound, terms, regime = br.total, br.terms, br.regime
                     bound_hi = hi.total
                 except RangeError as exc:
@@ -333,7 +335,7 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(out_dir: str | None) -> int:
+def cmd_selftest() -> int:
     """Fast internal checks; prints one line per check."""
     from .bounds import tail_power_integral, head_power_integral
     from .diffusion import brownian, ou
@@ -395,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--replicas", type=int, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--tol", type=float, default=None)
-    st = sub.add_parser("selftest")
-    st.add_argument("--out", default=None)
+    sub.add_parser("selftest")
     return ap
 
 
@@ -404,7 +405,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            return cmd_selftest(args.out)
+            return cmd_selftest()
         cfg = load_config(args.config, seed=args.seed, replicas=args.replicas,
                           tol=args.tol, out=args.out)
         if args.command == "model":

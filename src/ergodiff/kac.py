@@ -15,6 +15,9 @@ ray the grid stops at a horizon L and Q adds the tail beyond it: the leading
 power law fitted on the last decade of the grid (log-log regression) times
 m.  A divergent tail at order k makes that row and every higher one +inf.
 Hitting from below reflects the model through the target.
+
+The order-1 case with a source |f| in place of 1 gives the cycle-integral
+constant of the L1 deviation bound in closed form (``first_block_sup``).
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ from .diffusion import DiffusionModel
 from .errors import (DomainError, InterpolationError,
                      NotPositiveRecurrentError)
 from .gridfn import cumulative_panels
-from .quadrature import integrate_finite, integrate_semi_infinite
+from .quadrature import (integrate_finite, integrate_semi_infinite,
+                         vectorize_integrand)
 
 __all__ = [
-    "MomentTable", "mean_exit_time", "exit_moment_table",
+    "MomentTable", "mean_exit_time", "first_block_sup", "exit_moment_table",
     "hitting_moment_table", "simultaneity_check", "SimultaneityReport",
 ]
 
@@ -104,6 +108,43 @@ def mean_exit_time(model: DiffusionModel, a: float, b: float, x: float) -> float
     left = integrate_finite(lambda xi: (S(xi) - sa) * m(xi), a, x, model.quad)
     right = integrate_finite(lambda xi: (sb - S(xi)) * m(xi), x, b, model.quad)
     return ((sb - sx) * left.value + (sx - sa) * right.value) / (sb - sa)
+
+
+def first_block_sup(model: DiffusionModel, a: float, b: float, f,
+                    support: tuple) -> float:
+    """c_f = sup_x E_x int_0^{R_1} |f(X_s)| ds for f vanishing outside
+    ``support`` = (lo, hi), where R_1 is the first hit of a after the first
+    hit of b.
+
+    By the strong Markov property E_x int_0^{R_1} |f| = v_b(x) + v_a(b) with
+    v_c(x) = E_x int_0^{T_c} |f|, and the order-1 Kac formula (the Green
+    kernel of the ray) gives
+        v_c(x) = int_{y<c} (S(c) - S(max(x, y))) |f| m dy   (x <= c),
+        v_c(x) = int_{y>c} (S(min(x, y)) - S(c)) |f| m dy   (x >= c).
+    v_b does not decrease away from b and is constant outside [lo, hi], so
+    the sup is the larger of v_b(lo) and v_b(hi), plus v_a(b).
+    """
+    if not a < b:
+        raise DomainError("first_block_sup needs a < b")
+    lo, hi = support
+    S = model.scale_function
+    m = model.speed_density_fn()
+    fv = vectorize_integrand(f)
+    sa, sb = float(S(a)), float(S(b))
+
+    def part(weight, x0: float, x1: float) -> float:
+        """int of weight(S) |f| m over [x0, x1] within the support."""
+        x0, x1 = max(x0, lo), min(x1, hi)
+        if not x0 < x1:
+            return 0.0
+        return integrate_finite(lambda y: weight(S(y)) * np.abs(fv(y)) * m(y),
+                                x0, x1, model.quad).value
+
+    from_below = part(lambda s: sb - s, -math.inf, b)
+    from_above = part(lambda s: s - sb, b, math.inf)
+    # v_a(b): the kernel min(S, S(b)) - S(a) has a kink at b
+    back = part(lambda s: s - sa, a, b) + part(lambda s: sb - sa, b, math.inf)
+    return max(from_below, from_above) + back
 
 
 def _interpolant(grid: np.ndarray, vals: np.ndarray) -> Callable:

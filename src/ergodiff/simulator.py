@@ -21,9 +21,7 @@ walks each row's alternating events (b while waiting for b, then a), kept as
 arrays of (replica, time[, cycle integral]) and split into per-replica
 samples by one stable sort at the end.  With ``max_cycles`` no row may step
 past its last event, so the kernel tests each row's level per step and ends
-the block at the first event.  First-block runs from several start points
-share noise rows: one block carries a group of rows per start, advanced as
-one state, so a step's fixed cost is paid once for all starts.
+the block at the first event.
 
 Every check (the guard, sigma^2 > 0, finite drift, sigma and f) runs at
 every step on every row of the state, as one screening reduction,
@@ -45,7 +43,7 @@ another in index order, so results are bitwise reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,7 +202,6 @@ class MomentEstimates:
     eta_p: Estimate
     r1_p_at_a: Estimate
     cycle_gap_p: Estimate
-    c_f_hat: Estimate
     mu_f_hat: Estimate
     mean_cycle_time: Estimate   # pooled E_a R_1
     n_cycles: int
@@ -437,14 +434,8 @@ def _level_walk(level: np.ndarray, b: float, tests_a: tuple, tests_b: tuple):
 
 
 def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
-                 n_rep: int, cp_steps: np.ndarray,
-                 max_cycles: int | None, starts: np.ndarray | None = None):
+                 n_rep: int, cp_steps: np.ndarray, max_cycles: int | None):
     """Regeneration paths of one RNG block.
-
-    With ``starts``, the block carries one group of n_rep rows per start
-    point in place of draws from cfg.initial; row r of every group reads
-    noise row r, so each row's path is the one a point-law run from that
-    start would give.  Samples come back group by group.
 
     Per kernel block, f, the running integrals (cumulative sums in step
     order) and the events run on whole arrays.  Full-horizon runs test both
@@ -455,26 +446,20 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     h = cfg.step
     fv = vectorize_integrand(f)
 
-    if starts is None:
-        x = cfg.initial.sample(_stream(cfg.seed, block, _KIND_INITIAL, 0),
-                               n_rep)
-    else:
-        x = np.repeat(starts, n_rep)
-    n_rows = x.size
-    idx = np.arange(n_rows)
-    rows = slice(None) if starts is None else idx % n_rep  # noise rows
-    level = np.full(n_rows, cfg.b)            # each live row waits for b, then a
-    cum_f = np.zeros(n_rows)
-    cum_fabs = np.zeros(n_rows)
-    anchor_f = np.zeros(n_rows)               # int_0^{R_n} f at the last R_n
-    first_fabs = np.full(n_rows, np.nan)
-    n_r = np.zeros(n_rows, dtype=np.int64)
+    x = cfg.initial.sample(_stream(cfg.seed, block, _KIND_INITIAL, 0), n_rep)
+    idx = np.arange(n_rep)
+    level = np.full(n_rep, cfg.b)             # each live row waits for b, then a
+    cum_f = np.zeros(n_rep)
+    cum_fabs = np.zeros(n_rep)
+    anchor_f = np.zeros(n_rep)                # int_0^{R_n} f at the last R_n
+    first_fabs = np.full(n_rep, np.nan)
+    n_r = np.zeros(n_rep, dtype=np.int64)
     s_rep, s_time = [], []                    # S-event records
     r_rep, r_time, r_cyc = [], [], []         # R-event records
-    additive = np.zeros((n_rows, cp_steps.size))
+    additive = np.zeros((n_rep, cp_steps.size))
     stop = max_cycles is not None             # rows leave at their events
     bridge = cfg.crossing == "bridge"
-    t_buf, s2_buf, f_buf, fa_buf = _block_buffers(n_rows, 4)
+    t_buf, s2_buf, f_buf, fa_buf = _block_buffers(n_rep, 4)
 
     def record(step0, k, cols, theta, fx, F, FA):
         """Events of rows ``cols`` at block steps k, one per row."""
@@ -497,24 +482,24 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
         level[cols] = np.where(at_b, cfg.a, cfg.b)
         return pc[n_r[g] >= max_cycles] if stop else None
 
-    # live noise rows at each chunk start: row g*n_rep + r reads noise row r
-    for start, Z, U in _noise(cfg, block, n_rep, lambda: idx % n_rep):
+    # the lambda reads idx as it stands at each chunk start
+    for start, Z, U in _noise(cfg, block, n_rep, lambda: idx):
         j = 0
         while idx.size and j < Z.shape[1]:
             n = idx.size
+            live = slice(None) if n == n_rep else idx  # and their noise rows
             K = _block_len(n, Z.shape[1] - j)
             T = _shaped(t_buf, K + 1, n)
             T[0] = x
             S2 = _shaped(s2_buf, K, n) if bridge and not stop else None
-            u = None if U is None else U[rows, j:j + K].T
-            K, last = _euler_block(model, cfg, T, Z[rows, j:j + K].T, S2,
+            u = None if U is None else U[live, j:j + K].T
+            K, last = _euler_block(model, cfg, T, Z[live, j:j + K].T, S2,
                                    level if stop else None, u)
             step0 = start + j
             j += K
             x = T[K]
             T = T[:K + 1]
             fx = fv(T[:K].reshape(-1)).reshape(K, n)
-            live = slice(None) if n == n_rows else idx
             F, FA = _shaped(f_buf, K + 1, n), _shaped(fa_buf, K + 1, n)
             F[0], FA[0] = cum_f[live], cum_fabs[live]
             np.multiply(fx, h, out=F[1:])
@@ -540,18 +525,17 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
                 if done.size:
                     x, idx, level = (np.delete(v, done)
                                      for v in (x, idx, level))
-                    rows = idx % n_rep
         if idx.size == 0:
             break
 
-    s_times, = _split_by_replica(s_rep, n_rows, s_time)
-    r_times, cycles = _split_by_replica(r_rep, n_rows, r_time, r_cyc)
+    s_times, = _split_by_replica(s_rep, n_rep, s_time)
+    r_times, cycles = _split_by_replica(r_rep, n_rep, r_time, r_cyc)
     samples = [RegenerationSample(
         r_times=r_times[g], s_times=s_times[g],
         cycle_integrals=cycles[g][1:],        # drop the first block
         first_block_abs=float(first_fabs[g]), n_t=int(n_r[g]),
         additive_integral=float(cum_f[g]), horizon=cfg.horizon)
-        for g in range(n_rows)]
+        for g in range(n_rep)]
     return samples, additive
 
 
@@ -647,30 +631,17 @@ def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
     return out
 
 
-def _probe_support(f, lo: float, hi: float, n: int = 4096):
-    fv = vectorize_integrand(f)
-    xs = np.linspace(lo, hi, n)
-    nz = np.abs(fv(xs)) > 0
-    if not nz.any():
-        return None
-    return float(xs[nz][0]), float(xs[nz][-1])
-
-
 def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
-                       f_support: tuple | None = None,
-                       support_grid_points: int = 5,
-                       first_block_replicas: int | None = None,
                        *, batch: BatchResult | None = None
                        ) -> MomentEstimates:
-    """Estimate every cycle-moment input of the deviation bounds.
+    """Estimate the cycle-moment inputs of the deviation bounds from one
+    full-horizon run.
 
     The cycle rate is total completed cycles over total simulated time; the
     mean-cycle identity and the invariant-average identity then hold up to
     Monte Carlo error and a renewal edge effect of order (cycle length) /
-    horizon.  The cycle-integral constant is the max over a start-point grid
-    in the support of f of the mean first-block integral of |f|.  All start
-    points advance as one state: replica r of every start reads the same
-    noise row, in one run per RNG block of the first-block sub-run.
+    horizon.  The cycle-integral constant c_f of the L1 bound is exact, from
+    ``kac.first_block_sup``.
 
     ``batch`` is an existing ``simulate_paths(model, cfg, f, ...)`` result
     to read the cycles from in place of a new run (checkpoints do not
@@ -719,39 +690,6 @@ def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
         * (a_r - xi_mean * c_r) + xi_mean / cfg.horizon * (n_t - n_bar)
     mu_se = _batch_se(resid)
 
-    # cycle-integral constant over a start grid in supp f; skipped when the
-    # caller sets support_grid_points=0 (bounds that do not need it)
-    support = f_support
-    if support is None and support_grid_points > 0:
-        span = 5.0 * (cfg.b - cfg.a)
-        support = _probe_support(f, cfg.a - span, cfg.b + span)
-    if support_grid_points == 0:
-        c_f = Estimate(math.nan, math.nan)
-    elif support is None:
-        c_f = Estimate(0.0, 0.0)
-    else:
-        n_first = first_block_replicas or max(200, cfg.replicas // 4)
-        starts = np.linspace(support[0], support[1], support_grid_points)
-        sub = replace(cfg, replicas=n_first, seed=cfg.seed + 1)
-        no_cps = np.zeros(0, dtype=np.int64)
-        parts = _run_blocks(lambda bid, cnt: _regen_block(
-            model, sub, f, bid, cnt, no_cps, 1, starts)[0], sub)
-        # (start, replica) table of first-block integrals
-        first = np.hstack([
-            np.array([s.first_block_abs for s in samples]).reshape(
-                starts.size, -1) for samples in parts])
-        best = Estimate(-math.inf, 0.0)
-        for x_start, vals in zip(starts, first):
-            vals = vals[np.isfinite(vals)]
-            if vals.size < 2:
-                raise InsufficientCyclesError(
-                    f"first-block runs from x={x_start:g} rarely regenerate "
-                    "within the horizon")
-            est = Estimate(float(np.mean(vals)), _batch_se(vals))
-            if est.value > best.value:
-                best = est
-        c_f = best
-
     return MomentEstimates(
         p=p,
         l_hat=Estimate(l_hat, l_se),
@@ -763,7 +701,6 @@ def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
                            _batch_se(gap_p_pooled)),
         cycle_gap_p=Estimate(float(np.mean(gap_p_first)),
                              _batch_se(gap_p_first)),
-        c_f_hat=c_f,
         mu_f_hat=Estimate(mu_hat, mu_se),
         mean_cycle_time=Estimate(float(np.mean(all_gaps)), _batch_se(all_gaps)),
         n_cycles=int(all_gaps.size),

@@ -19,8 +19,8 @@ from ergodiff.bounds import (DeviationConstants, MomentBoundParams,
                              moment_lower_bound, moment_upper_bound)
 from ergodiff.cli import main
 from ergodiff.diffusion import AssumptionParams, bounded_drift, brownian, ou
-from ergodiff.kac import (hitting_moment_table, mean_exit_time,
-                          simultaneity_check)
+from ergodiff.kac import (first_block_sup, hitting_moment_table,
+                          mean_exit_time, simultaneity_check)
 from ergodiff.simulator import (SimConfig, estimate_constants,
                                 estimate_deviation_prob,
                                 estimate_hitting_moments, simulate_paths)
@@ -115,7 +115,7 @@ def test_criterion_4_polynomial_moment_domination():
 def test_criterion_5_regeneration_identities(ou1):
     cfg = SimConfig(step=1e-3, horizon=600.0, replicas=80, seed=505,
                     a=-0.5, b=0.5, initial=-0.5)
-    est = estimate_constants(ou1, cfg, INDICATOR, 2.0, support_grid_points=0)
+    est = estimate_constants(ou1, cfg, INDICATOR, 2.0)
     assert est.n_cycles >= 10_000
     prod = est.l_hat.value * est.mean_cycle_time.value
     se_prod = prod * math.hypot(est.l_hat.se / est.l_hat.value,
@@ -136,18 +136,18 @@ def test_criterion_5_regeneration_identities(ou1):
 def deviation_run(ou1):
     ccfg = SimConfig(step=1e-3, horizon=150.0, replicas=400, seed=606,
                      a=-0.5, b=0.5, initial=-0.5)
-    est = estimate_constants(ou1, ccfg, INDICATOR, 2.0,
-                             f_support=(-0.5, 0.5))
+    est = estimate_constants(ou1, ccfg, INDICATOR, 2.0)
+    c_f = first_block_sup(ou1, ccfg.a, ccfg.b, INDICATOR, (-0.5, 0.5))
     dcfg = SimConfig(step=1e-3, horizon=400.0, replicas=1000, seed=707,
                      a=-0.5, b=0.5, initial=-0.5)
     emp = estimate_deviation_prob(ou1, dcfg, INDICATOR,
                                   [50.0, 100.0, 200.0, 400.0],
                                   [0.05, 0.1, 0.2], MU_INDICATOR)
-    return est, emp
+    return est, c_f, emp
 
 
 def test_criterion_6_deviation_bound_domination(deviation_run):
-    est, emp = deviation_run
+    est, c_f, emp = deviation_run
     consts = DeviationConstants(
         l=est.l_hat.value, p=2.0, c_p=2.0,
         r1_centered_halfp=est.r1_centered_halfp.value,
@@ -166,8 +166,7 @@ def test_criterion_6_deviation_bound_domination(deviation_run):
                                           1.0).total
                 else:
                     b = ergodic_bound_l1(consts, float(t), float(eps),
-                                         MU_INDICATOR, est.c_f_hat.value,
-                                         2).total
+                                         MU_INDICATOR, c_f, 2).total
                 checked += 1
                 min_bound = min(min_bound, b)
                 if b < 1.0:

@@ -276,6 +276,26 @@ def test_cmd_deviation_inadmissible_eps_cells(tmp_path):
     assert all(r.split(",")[4] == "nan" for r in marked)
 
 
+def test_cmd_deviation_l1_cells_need_compact_support(tmp_path):
+    # exp(-x^2) is nonzero across the probe window: no support, so no c_f
+    text = FULL.format(out=tmp_path / "nc").replace(
+        "indicator(-0.5, 0.5)", "exp(-x^2)").replace(
+        "eps_grid = 0.1, 0.2, 1.5", "eps_grid = 0.1, 0.2")
+    assert main(["deviation", "--config", _write(tmp_path, text)]) == 0
+    out = tmp_path / "nc"
+    rows = [r.split(",") for r in
+            (out / "deviation.csv").read_text().splitlines()[2:]]
+    l1 = [r for r in rows if r[-1] == "l1"]
+    sup = [r for r in rows if r[-1] == "sup"]
+    assert l1 and sup
+    assert all(r[4] == "nan" and r[10] == "inadmissible: L1 bound needs a "
+               "compactly supported f" for r in l1)
+    assert all(float(r[4]) > 0 and "inadmissible" not in r[10] for r in sup)
+    consts = dict(r.split(",", 1) for r in
+                  (out / "constants.csv").read_text().splitlines()[2:])
+    assert consts["c_f"] == "nan,"
+
+
 def test_cmd_deviation_empty_t_grid(tmp_path, capsys):
     text = FULL.format(out=tmp_path / "d4").replace("t_grid = 10, 20",
                                                     "t_grid =")
@@ -299,14 +319,15 @@ def test_cmd_deviation_fails_before_simulating(tmp_path, monkeypatch, change):
 
 
 # sha256 of each output after its header line (which holds the config hash
-# and version), recorded with separate constants and deviation runs
+# and version).  The Monte Carlo cells were recorded with separate constants
+# and deviation runs; the c_f row and the l1 bound cells with the exact c_f.
 SHARED_RUN_SHA256 = {
     "constants.csv":
-        "b5d3c6f2689f5cc456eef2af8c51ce1be4790df3e5dfb86186bbe6e44f13cfc6",
+        "b744ae10cbbd116f6915b5e78fba234954c368f6b6b767a8d4f70ed9eb00898e",
     "deviation.csv":
-        "4c2d7ff945d49ee9e6bfd7b4e8ded349132c785a2801c5f806a3e111198381b3",
+        "16f6cc20bfb1e8f66f82f4783a7cc3dd0b43360aa789b936c955cd2adf3ce520",
     "deviation_plot.dat":
-        "21809d82491de430ad4165e306be42bf7e5ec76909a004944982702faa49ca90",
+        "39bf913952a2251f7f62f1f0851050e308b84e844588b975676e1542e2f8e780",
 }
 
 
@@ -362,3 +383,10 @@ def test_selftest_runs(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") >= 4 and "[FAIL]" not in out
+
+
+def test_selftest_takes_no_out_dir(tmp_path, capsys):
+    # selftest writes no files, so an output directory is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--out", str(tmp_path)])
+    assert exc.value.code == 2

@@ -6,8 +6,10 @@ from scipy import integrate as sci
 
 from ergodiff.diffusion import bounded_drift, brownian, ou
 from ergodiff.errors import DomainError, NotPositiveRecurrentError
-from ergodiff.kac import (exit_moment_table, hitting_moment_table,
-                          mean_exit_time, simultaneity_check)
+from ergodiff.kac import (exit_moment_table, first_block_sup,
+                          hitting_moment_table, mean_exit_time,
+                          simultaneity_check)
+from ergodiff.simulator import SimConfig, simulate_paths
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,51 @@ def test_exit_boundary_zeros(ou1):
 def test_exit_table_rejects_outside_grid(bm):
     with pytest.raises(DomainError):
         exit_moment_table(bm, 0.0, 1.0, np.array([1.5]), 1)
+
+
+# -- first-block constant c_f of the L1 bound -------------------------------
+
+def _indicator(lo, hi):
+    return lambda x: ((np.asarray(x) >= lo) & (np.asarray(x) <= hi)) * 1.0
+
+
+@pytest.mark.parametrize("lo, hi, want", [(-0.5, 0.5, 2.0), (0.0, 2.0, 6.0)])
+def test_first_block_sup_brownian_closed_form(bm, lo, hi, want):
+    # S(y) = y and m = 2, with a = -1/2, b = 1/2:
+    # c_f = max(2 int_lo^b (b - y), 2 int_b^hi (y - b))
+    #       + 2 int_lo^hi (min(y, b) - a) dy
+    got = first_block_sup(bm, -0.5, 0.5, _indicator(lo, hi), (lo, hi))
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_first_block_sup_zero_f_and_levels(bm):
+    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    assert first_block_sup(bm, -0.5, 0.5, zero, (-1.0, 1.0)) == 0.0
+    for a, b in ((0.5, 0.5), (0.5, -0.5)):
+        with pytest.raises(DomainError):
+            first_block_sup(bm, a, b, _indicator(-0.5, 0.5), (-0.5, 0.5))
+
+
+FIRST_BLOCK_MC = {
+    # model: (model, support of the indicator f, start: the support end
+    # where the sup sits)
+    "ou(1)": (lambda: ou(1.0), (0.0, 2.0), 2.0),
+    "bounded_drift(2.5)": (lambda: bounded_drift(2.5), (-0.5, 0.5), -0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(FIRST_BLOCK_MC))
+def test_first_block_sup_matches_monte_carlo(name):
+    build, (lo, hi), x0 = FIRST_BLOCK_MC[name]
+    model, f = build(), _indicator(lo, hi)
+    cfg = SimConfig(step=2e-3, horizon=40.0, replicas=2000, seed=11,
+                    a=-0.5, b=0.5, initial=x0, crossing="bridge")
+    batch = simulate_paths(model, cfg, f, max_cycles=1)
+    fb = np.array([s.first_block_abs for s in batch.samples])
+    assert np.all(np.isfinite(fb))      # every first block completed
+    se = float(np.std(fb, ddof=1)) / math.sqrt(fb.size)
+    exact = first_block_sup(model, cfg.a, cfg.b, f, (lo, hi))
+    assert abs(float(np.mean(fb)) - exact) <= 4.0 * se
 
 
 # -- one-sided hitting moments ------------------------------------------------

@@ -9,6 +9,7 @@ from ergodiff.diffusion import DiffusionModel, brownian, ou
 from ergodiff.errors import (ConfigError, DomainError, EvaluationError,
                              ExcessCensoringError, InsufficientCyclesError,
                              NumericalBlowupError)
+from ergodiff.kac import first_block_sup
 from ergodiff.simulator import (CROSSING_RULES, InitialLaw, SimConfig,
                                 estimate_constants,
                                 estimate_deviation_prob,
@@ -157,9 +158,10 @@ def test_insufficient_cycles():
 def test_constants_trivial_f_zero():
     m = ou(1.0)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    est = estimate_constants(m, _cfg(replicas=60, horizon=60.0), zero, 2.0)
+    cfg = _cfg(replicas=60, horizon=60.0)
+    est = estimate_constants(m, cfg, zero, 2.0)
     assert est.mu_f_hat.value == 0.0
-    assert est.c_f_hat.value == 0.0
+    assert first_block_sup(m, cfg.a, cfg.b, zero, (-1.0, 1.0)) == 0.0
 
 
 def test_cycle_moment_growth_bound():
@@ -170,8 +172,7 @@ def test_cycle_moment_growth_bound():
     batch = simulate_paths(m, cfg, INDICATOR)
     fb = np.array([s.first_block_abs for s in batch.samples])
     fb = fb[np.isfinite(fb)]
-    est = estimate_constants(m, cfg, INDICATOR, 2.0)
-    c_f = est.c_f_hat.value + 3.0 * est.c_f_hat.se
+    c_f = first_block_sup(m, cfg.a, cfg.b, INDICATOR, (-0.5, 0.5))
     for n in (1, 2, 3):
         mean_n = float(np.mean(fb ** n))
         se_n = float(np.std(fb ** n) / math.sqrt(fb.size))
@@ -367,7 +368,7 @@ def test_invariant_average_se_keeps_cycle_covariance(seed):
     m = ou(1.0)
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
     est = estimate_constants(m, _cfg(replicas=64, horizon=60.0, seed=seed),
-                             one, 2.0, support_grid_points=0)
+                             one, 2.0)
     independent = math.hypot(est.mean_cycle_time.se * est.l_hat.value,
                              est.mean_cycle_time.value * est.l_hat.se)
     assert est.mu_f_hat.se < 0.5 * independent
@@ -443,9 +444,8 @@ def test_shared_batch_matches_own_runs_and_must_fit():
                                   batch=batch)
     own = estimate_deviation_prob(m, cfg, INDICATOR, [40.0, 20.0], [0.1], 0.5)
     assert np.array_equal(emp.freq, own.freq)
-    kw = dict(f_support=(-0.5, 0.5), support_grid_points=2)
-    shared = estimate_constants(m, cfg, INDICATOR, 2.0, batch=batch, **kw)
-    assert repr(shared) == repr(estimate_constants(m, cfg, INDICATOR, 2.0, **kw))
+    shared = estimate_constants(m, cfg, INDICATOR, 2.0, batch=batch)
+    assert repr(shared) == repr(estimate_constants(m, cfg, INDICATOR, 2.0))
     with pytest.raises(ConfigError):
         estimate_deviation_prob(m, cfg, INDICATOR, [20.0], [0.1], 0.5,
                                 batch=batch)
@@ -455,27 +455,6 @@ def test_shared_batch_matches_own_runs_and_must_fit():
     with pytest.raises(ConfigError):
         estimate_constants(m, dataclasses.replace(cfg, horizon=30.0),
                            INDICATOR, 2.0, batch=batch)
-
-
-PINNED_FIRST_BLOCK = {
-    # crossing: (c_f_hat value, its SE), recorded with one run per start
-    "interpolate": (2.7303020603113115, 0.03272185720504809),
-    "bridge": (2.552092304213753, 0.028890398314601277),
-}
-
-
-@pytest.mark.parametrize("crossing", sorted(PINNED_FIRST_BLOCK))
-def test_pinned_first_block_over_two_rng_blocks(crossing):
-    # 4100 first-block replicas span two RNG blocks; the starts 0, 1, 2 share
-    # each block's noise rows and must give the separate runs' values (the
-    # maximum is at the last start, so a group reading other rows shows)
-    cfg = _cfg(step=0.02, horizon=40.0, replicas=100, seed=5,
-               crossing=crossing)
-    f = lambda x: np.where((np.asarray(x) >= 0.0) & (np.asarray(x) <= 2.0),
-                           1.0, 0.0)
-    est = estimate_constants(ou(1.0), cfg, f, 2.0, f_support=(0.0, 2.0),
-                             support_grid_points=3, first_block_replicas=4100)
-    assert (est.c_f_hat.value, est.c_f_hat.se) == PINNED_FIRST_BLOCK[crossing]
 
 
 def _count_lane_draws(monkeypatch) -> list:
@@ -522,17 +501,15 @@ def test_live_lanes_draw_gives_the_all_lanes_hitting_outputs(monkeypatch,
 
 def test_live_lanes_draw_gives_the_all_lanes_first_block_constants(
         monkeypatch):
-    # three start groups share each noise row; a group's rows leave at their
-    # first regeneration, so the live lanes are those of any group's rows
-    cfg = _cfg(step=0.02, horizon=40.0, replicas=100, seed=5)
-    args = (ou(1.0), cfg, INDICATOR, 2.0)
-    kw = dict(f_support=(-0.5, 0.5), support_grid_points=3,
-              first_block_replicas=300)
+    # rows leave at their first regeneration, so later chunks draw only the
+    # lanes that still hold one
+    cfg = _cfg(step=0.02, horizon=40.0, replicas=300, seed=5)
+    args = (ou(1.0), cfg, INDICATOR)
     draws = _count_lane_draws(monkeypatch)
-    live = estimate_constants(*args, **kw)
+    live = _batch_bytes(simulate_paths(*args, max_cycles=1))
     n_live = len(draws)
     _draw_all_lanes(monkeypatch)
-    assert estimate_constants(*args, **kw) == live
+    assert _batch_bytes(simulate_paths(*args, max_cycles=1)) == live
     assert n_live < len(draws) - n_live
 
 
@@ -554,12 +531,6 @@ def test_replica_hitting_time_does_not_depend_on_replica_count(crossing):
 
 
 def _regeneration_run(crossing: str, run: str):
-    if run == "constants":      # three starts share each noise row
-        cfg = _cfg(step=0.02, horizon=40.0, replicas=100, seed=5,
-                   crossing=crossing)
-        return estimate_constants(
-            ou(1.0), cfg, INDICATOR, 2.0, f_support=(-0.5, 0.5),
-            support_grid_points=3, first_block_replicas=300)
     cfg = _cfg(step=5e-3, horizon=10.0, replicas=300, seed=22,
                crossing=crossing)
     kw = dict(checkpoints=[2.5, 5.0, 10.0]) if run == "checkpoints" \
@@ -577,7 +548,7 @@ def _hitting_run(crossing: str, run: str):
 
 BLOCK_LENGTH_RUNS = {
     "checkpoints": _regeneration_run, "max_cycles=1": _regeneration_run,
-    "max_cycles=2": _regeneration_run, "constants": _regeneration_run,
+    "max_cycles=2": _regeneration_run,
     "one barrier": _hitting_run, "two barriers": _hitting_run,
 }
 
