@@ -88,6 +88,16 @@ def _floats(text: str) -> np.ndarray:
         raise ConfigError(f"expected a list of numbers, got {text!r}") from exc
 
 
+def _number(text: str, where: str, kind=float):
+    """``text`` read as ``kind``; a ConfigError naming ``where`` if it is not
+    one."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: expected {what}, got {text!r}") from None
+
+
 def parse_model(text: str, anchor: float = 0.0,
                 quad: QuadratureConfig | None = None,
                 diffusion_text: str | None = None) -> DiffusionModel:
@@ -99,7 +109,7 @@ def parse_model(text: str, anchor: float = 0.0,
     m = _MODEL_RE.match(text)
     if m:
         name, arg = m.group(1), m.group(2)
-        value = float(arg) if arg not in (None, "") else 1.0
+        value = _number(arg, text.strip()) if arg not in (None, "") else 1.0
         factory = {"brownian": brownian, "ou": ou,
                    "bounded_drift": bounded_drift}[name]
         return factory(value, **kw)
@@ -118,7 +128,7 @@ def parse_function(text: str, probe_range: tuple[float, float]) -> FunctionSpec:
     """``indicator(lo, hi)`` or an expression over x."""
     m = _INDICATOR_RE.match(text)
     if m:
-        lo, hi = float(m.group(1)), float(m.group(2))
+        lo, hi = (_number(g, text.strip()) for g in m.groups())
         if not lo < hi:
             raise ConfigError("indicator needs lo < hi")
 
@@ -194,18 +204,25 @@ def load_config(path: str, seed: int | None = None,
     def section(name):
         return sections.get(name, {})
 
+    def num(name, key, kind=float, default=None):
+        """``[name] key`` read as ``kind``, or ``default`` when absent."""
+        sec = section(name)
+        if key not in sec:
+            return default
+        return _number(sec[key], f"[{name}] {key}", kind)
+
     diff_sec = section("diffusion")
     exp_sec = section("experiment")
     sim_sec = section("sim")
     ass_sec = section("assumptions")
 
-    if tol is None and "tol" in diff_sec:
-        tol = float(diff_sec["tol"])
+    if tol is None:
+        tol = num("diffusion", "tol")
     quad = None
     if tol is not None:
         quad = QuadratureConfig(rel_tol=tol, abs_tol=tol * 1e-3)
-    anchor = float(diff_sec.get("anchor", 0.0))
-    probe_limit = float(diff_sec.get("probe_limit", 1e6))
+    anchor = num("diffusion", "anchor", default=0.0)
+    probe_limit = num("diffusion", "probe_limit", default=1e6)
 
     try:
         if "model" in diff_sec:
@@ -221,14 +238,12 @@ def load_config(path: str, seed: int | None = None,
 
     assumptions = None
     if ass_sec:
-        def opt(key):
-            return float(ass_sec[key]) if key in ass_sec else None
         if "m0" not in ass_sec:
             raise ConfigError("[assumptions] needs m0")
-        assumptions = AssumptionParams(
-            m0=float(ass_sec["m0"]), sigma0=opt("sigma0"), gamma=opt("gamma"),
-            r=opt("r"), sigma1=opt("sigma1"), delta=opt("delta"),
-            r_cap=opt("r_cap"))
+        assumptions = AssumptionParams(**{
+            key: num("assumptions", key)
+            for key in ("m0", "sigma0", "gamma", "r", "sigma1", "delta",
+                        "r_cap")})
 
     sim = None
     if sim_sec:
@@ -237,16 +252,16 @@ def load_config(path: str, seed: int | None = None,
         if missing:
             raise ConfigError(f"[sim] missing keys: {', '.join(missing)}")
         sim = SimConfig(
-            step=float(sim_sec["step"]),
-            horizon=float(sim_sec["horizon"]),
+            step=num("sim", "step"),
+            horizon=num("sim", "horizon"),
             replicas=int(replicas if replicas is not None
-                         else int(sim_sec["replicas"])),
-            seed=int(seed if seed is not None else int(sim_sec["seed"])),
-            a=float(sim_sec["a"]),
-            b=float(sim_sec["b"]),
+                         else num("sim", "replicas", int)),
+            seed=int(seed if seed is not None else num("sim", "seed", int)),
+            a=num("sim", "a"),
+            b=num("sim", "b"),
             initial=parse_initial_law(sim_sec["initial"]),
             crossing=sim_sec.get("crossing", "interpolate"),
-            blowup_guard=float(sim_sec.get("blowup_guard", 1e9)),
+            blowup_guard=num("sim", "blowup_guard", default=1e9),
         )
 
     f_def = None
@@ -269,11 +284,19 @@ def load_config(path: str, seed: int | None = None,
 
     x_grid = _floats(exp_sec["x_grid"]) if "x_grid" in exp_sec else np.array([])
     mu_f_text = exp_sec.get("mu_f", "auto").strip().lower()
-    mu_f = None if mu_f_text == "auto" else float(mu_f_text)
+    mu_f = None if mu_f_text == "auto" else num("experiment", "mu_f")
     kinds_text = exp_sec.get("bounds", "sup,l1")
     kinds = tuple(s.strip() for s in kinds_text.split(",") if s.strip())
     if any(k not in ("sup", "l1") for k in kinds):
         raise ConfigError("bounds must be a subset of: sup, l1")
+
+    side = exp_sec.get("side", "from_above")
+    if side not in ("from_above", "from_below"):
+        raise ConfigError(f"[experiment] side: expected from_above or "
+                          f"from_below, got {side!r}")
+    orders = num("experiment", "orders", int, default=1)
+    if orders < 0:
+        raise ConfigError(f"[experiment] orders: must be >= 0, got {orders}")
 
     payload = raw.encode() + f"|seed={seed}|replicas={replicas}|tol={tol}".encode()
     cfg_hash = hashlib.sha256(payload).hexdigest()[:12]
@@ -283,21 +306,18 @@ def load_config(path: str, seed: int | None = None,
         assumptions=assumptions,
         sim=sim,
         f=f_def,
-        p=float(exp_sec.get("p", 2.0)),
-        bdg_constant=(float(exp_sec["bdg_constant"])
-                      if "bdg_constant" in exp_sec else None),
+        p=num("experiment", "p", default=2.0),
+        bdg_constant=num("experiment", "bdg_constant"),
         t_grid=np.sort(t_grid),
         eps_grid=np.sort(eps_grid),
         out_dir=(out if out is not None else exp_sec.get("out", "results")),
         probe_limit=probe_limit,
-        target=float(exp_sec["target"]) if "target" in exp_sec else None,
-        side=exp_sec.get("side", "from_above"),
+        target=num("experiment", "target"),
+        side=side,
         x_grid=x_grid,
-        orders=int(exp_sec.get("orders", 1)),
-        bound_order=(int(exp_sec["bound_order"])
-                     if "bound_order" in exp_sec else None),
-        constants_replicas=(int(exp_sec["constants_replicas"])
-                            if "constants_replicas" in exp_sec else None),
+        orders=orders,
+        bound_order=num("experiment", "bound_order", int),
+        constants_replicas=num("experiment", "constants_replicas", int),
         mu_f=mu_f,
         bound_kinds=kinds,
         config_hash=cfg_hash,

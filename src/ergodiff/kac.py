@@ -16,6 +16,11 @@ power law fitted on the last decade of the grid (log-log regression) times
 m.  A divergent tail at order k makes that row and every higher one +inf.
 Hitting from below reflects the model through the target.
 
+Within one table, S and m are evaluated once per distinct node array: the
+GK15 nodes of a round's gaps are the same for every order, once for P and
+once for Q, and a ray's tail windows are the same in every round.  The memo
+lives for that one table only and keeps nothing on the model.
+
 The order-1 case with a source |f| in place of 1 gives the cycle-integral
 constant of the L1 deviation bound in closed form (``first_block_sup``).
 """
@@ -34,8 +39,8 @@ from .diffusion import DiffusionModel
 from .errors import (DomainError, InterpolationError,
                      NotPositiveRecurrentError)
 from .gridfn import cumulative_panels
-from .quadrature import (integrate_finite, integrate_semi_infinite,
-                         vectorize_integrand)
+from .quadrature import (QuadratureConfig, integrate_finite,
+                         integrate_semi_infinite, vectorize_integrand)
 
 __all__ = [
     "MomentTable", "mean_exit_time", "first_block_sup", "exit_moment_table",
@@ -210,27 +215,34 @@ def hitting_moment_table(model: DiffusionModel, target: float, side: str,
 def _settle(model: DiffusionModel, grid: np.ndarray, xs: np.ndarray, n: int,
             rel_tol: float, two_sided: bool) -> tuple[np.ndarray, list]:
     """Doubles the grid until the values at ``xs`` settle: +inf in the same
-    places as the round before and every other value within ``rel_tol``."""
-    prev = None
-    for round_ in range(_MAX_REFINEMENTS + 1):
-        curves, fits = _curves(model, grid, n, two_sided)
-        idx = np.searchsorted(grid, xs)
-        extract = np.stack([c[idx] for c in curves])
-        if prev is not None and np.array_equal(np.isinf(extract),
-                                               np.isinf(prev)):
-            kept = ~np.isinf(extract)
-            scale = np.abs(prev[kept]) + 1e-12
-            change = float(np.max(np.abs(extract[kept] - prev[kept]) / scale,
-                                  initial=0.0))
-            if change < rel_tol:
-                return extract, fits
-        prev = extract
-        if round_ < _MAX_REFINEMENTS:
-            mids = 0.5 * (grid[:-1] + grid[1:])
-            grid = np.unique(np.concatenate([grid, mids]))
-    raise InterpolationError(
-        f"{'exit' if two_sided else 'hitting'} table did not settle to rel "
-        f"tol {rel_tol:g} after {_MAX_REFINEMENTS} grid doublings")
+    places as the round before and every other value within ``rel_tol``.
+    S and m are memoized for this table only."""
+    S, m = _memo(model.scale_function), _memo(model.speed_density)
+    try:
+        prev = None
+        for round_ in range(_MAX_REFINEMENTS + 1):
+            curves, fits = _curves(model.quad, S, m, grid, n, two_sided)
+            idx = np.searchsorted(grid, xs)
+            extract = np.stack([c[idx] for c in curves])
+            if prev is not None and np.array_equal(np.isinf(extract),
+                                                   np.isinf(prev)):
+                kept = ~np.isinf(extract)
+                scale = np.abs(prev[kept]) + 1e-12
+                change = float(np.max(
+                    np.abs(extract[kept] - prev[kept]) / scale, initial=0.0))
+                if change < rel_tol:
+                    return extract, fits
+            prev = extract
+            if round_ < _MAX_REFINEMENTS:
+                mids = 0.5 * (grid[:-1] + grid[1:])
+                grid = np.unique(np.concatenate([grid, mids]))
+        raise InterpolationError(
+            f"{'exit' if two_sided else 'hitting'} table did not settle to "
+            f"rel tol {rel_tol:g} after {_MAX_REFINEMENTS} grid doublings")
+    finally:
+        # a caller that keeps the traceback of a failure keeps this frame
+        S.clear()
+        m.clear()
 
 
 def _hitting_grid(model: DiffusionModel, a: float,
@@ -264,17 +276,38 @@ def _fit_tail(grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
     return float(np.exp(logc)), float(kappa)
 
 
-def _curves(model: DiffusionModel, grid: np.ndarray, n: int,
+def _memo(fn: Callable) -> Callable:
+    """fn evaluated once per distinct input array (its exact shape and
+    bytes) for as long as the returned function lives.  Results are
+    read-only, so no caller can alter what a later call gets back, and
+    ``clear()`` empties the memo.  Exact reuse is safe because S and m
+    depend only on the point, not the batch."""
+    seen = {}
+
+    def memo(xs):
+        xs = np.asarray(xs, dtype=float)
+        key = (xs.shape, xs.tobytes())
+        out = seen.get(key)
+        if out is None:
+            out = seen[key] = np.asarray(fn(xs))
+            out.flags.writeable = False
+        return out
+    memo.clear = seen.clear
+    return memo
+
+
+def _curves(quad: QuadratureConfig, S: Callable, m: Callable,
+            grid: np.ndarray, n: int,
             two_sided: bool) -> tuple[list[np.ndarray], list]:
     """Moment curves u_0..u_n on ``grid`` and the tail fits of a ray.
 
     u_k = k [rho P + (S - S(a)) Q] / rho(a) with P = int_a^x (S - S(a))
     u_{k-1} m and Q = int_x^end rho u_{k-1} m.  On an interval rho = S(b) - S;
     on the ray [a, inf) rho = 1 and Q also takes the fitted tail beyond the
-    grid.  Orders from the first divergent tail on are +inf.
+    grid.  Orders from the first divergent tail on are +inf.  ``S`` and ``m``
+    are the model's scale function and speed density (memoized by
+    ``_settle``).
     """
-    S = model.scale_function
-    m = model.speed_density_fn()
     sg = S(grid)
     sa = sg[0]
     if two_sided:
@@ -293,11 +326,11 @@ def _curves(model: DiffusionModel, grid: np.ndarray, n: int,
             fits.append((k - 1, c_fit, kappa))
             tail = integrate_semi_infinite(
                 lambda t: c_fit * np.asarray(t, dtype=float) ** kappa * m(t),
-                grid[-1], math.inf, model.quad)
+                grid[-1], math.inf, quad)
             if tail.diverged:
                 break
-        P = cumulative_panels(wp, grid, model.quad.rel_tol, model.quad.abs_tol)
-        Qc = cumulative_panels(wq, grid, model.quad.rel_tol, model.quad.abs_tol)
+        P = cumulative_panels(wp, grid, quad.rel_tol, quad.abs_tol)
+        Qc = cumulative_panels(wq, grid, quad.rel_tol, quad.abs_tol)
         Q = Qc[-1] - Qc
         if not two_sided:
             Q = Q + tail.value

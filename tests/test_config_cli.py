@@ -81,6 +81,28 @@ def test_section_names_are_case_insensitive(tmp_path):
         load_config(_write(tmp_path, text + "\n[sim]\nstep = 1e-3\n"))
 
 
+@pytest.mark.parametrize("old, new, names", [
+    ("orders = 1", "orders = two", ("[experiment] orders", "'two'")),
+    ("step = 5e-3", "step = fast", ("[sim] step", "'fast'")),
+    ("replicas = 2400", "replicas = 2.4e3", ("[sim] replicas", "'2.4e3'")),
+    ("target = 0.0", "target = zero", ("[experiment] target", "'zero'")),
+    ("model = ou(1.0)", "model = ou(1.0)\nprobe_limit = far",
+     ("[diffusion] probe_limit", "'far'")),
+    ("model = ou(1.0)", "model = ou(one)", ("ou(one)", "'one'")),
+    ("f = indicator(-0.5, 0.5)", "f = indicator(lo, 0.5)",
+     ("indicator(lo, 0.5)", "'lo'")),
+    ("side = from_above", "side = above", ("[experiment] side", "'above'")),
+    ("orders = 1", "orders = -1", ("[experiment] orders", "-1"))],
+    ids=["orders", "step", "replicas", "target", "probe_limit", "model",
+         "indicator", "side", "negative-orders"])
+def test_bad_value_is_a_config_error(tmp_path, capsys, old, new, names):
+    text = FULL.format(out=tmp_path / "o").replace(old, new)
+    assert main(["moments", "--config", _write(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert all(name in err for name in names)
+
+
 def test_parse_model_variants():
     assert parse_model("brownian").label == "brownian(1)"
     assert parse_model("bounded_drift(0.75)").label == "bounded_drift(0.75)"

@@ -1,11 +1,14 @@
 import math
+import traceback
 
 import numpy as np
 import pytest
 from scipy import integrate as sci
 
-from ergodiff.diffusion import bounded_drift, brownian, ou
-from ergodiff.errors import DomainError, NotPositiveRecurrentError
+from ergodiff import kac
+from ergodiff.diffusion import DiffusionModel, bounded_drift, brownian, ou
+from ergodiff.errors import (DomainError, InterpolationError,
+                             NotPositiveRecurrentError)
 from ergodiff.kac import (exit_moment_table, first_block_sup,
                           hitting_moment_table, mean_exit_time,
                           simultaneity_check)
@@ -232,6 +235,55 @@ def test_csv_roundtrip(tmp_path, ou1):
     tbl.to_csv(path, header="# config=0123456789ab version=x")
     assert path.read_text().splitlines() == \
         ["# config=0123456789ab version=x"] + text[1:]
+
+
+def test_scale_and_speed_see_each_node_array_once(monkeypatch):
+    # within one table, S and m are evaluated once per distinct input array
+    # (the mirror model of from_below is its own instance, so calls are
+    # keyed by the instance they run on)
+    seen = []
+    for name in ("scale_function", "speed_density"):
+        def wrapped(self, x, _orig=getattr(DiffusionModel, name), _name=name):
+            xs = np.asarray(x, dtype=float)
+            seen.append((id(self), _name, xs.shape, xs.tobytes()))
+            return _orig(self, x)
+        monkeypatch.setattr(DiffusionModel, name, wrapped)
+    model = ou(1.0)
+    builds = [
+        lambda: hitting_moment_table(model, 0.0, "from_above",
+                                     [0.5, 1.0, 1.5, 2.0], 2),
+        lambda: hitting_moment_table(model, 1.0, "from_below",
+                                     [-0.5, 0.0, 0.5], 2),
+        lambda: exit_moment_table(model, -1.0, 1.0,
+                                  np.linspace(-0.9, 0.9, 7), 3),
+    ]
+    for build in builds:
+        seen.clear()
+        build()
+        assert len(seen) > 0
+        assert len(set(seen)) == len(seen)
+
+
+def test_memo_hits_are_read_only():
+    calls = []
+    twice = kac._memo(lambda xs: calls.append(xs.size) or 2.0 * xs)
+    first = twice(np.array([1.0, 2.0]))
+    again = twice(np.array([1.0, 2.0]))
+    assert again is first and calls == [2]
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    assert twice(np.array([[1.0, 2.0]])).shape == (1, 2) and calls == [2, 2]
+
+
+def test_failed_table_leaves_its_memo_empty(monkeypatch, ou1):
+    # a caller may keep the error, and with it the traceback's frames
+    monkeypatch.setattr(kac, "_MAX_REFINEMENTS", 0)
+    with pytest.raises(InterpolationError) as err:
+        hitting_moment_table(ou1, 0.0, "from_above", [0.5, 1.0], 1)
+    frame = next(f for f, _ in traceback.walk_tb(err.value.__traceback__)
+                 if f.f_code.co_name == "_settle")
+    assert [frame.f_locals[k].clear.__self__ for k in "Sm"] == [{}, {}]
 
 
 # Tables recorded with the separate exit and hitting recursions that the
