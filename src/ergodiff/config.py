@@ -18,7 +18,7 @@ import numpy as np
 
 from .diffusion import (AssumptionParams, DiffusionModel, bounded_drift,
                         brownian, ou)
-from .errors import ConfigError, ExpressionError
+from .errors import ConfigError, DomainError, ExpressionError
 from .expressions import parse_expression
 from .quadrature import QuadratureConfig
 from .simulator import InitialLaw, SimConfig
@@ -216,11 +216,15 @@ def load_config(path: str, seed: int | None = None,
     sim_sec = section("sim")
     ass_sec = section("assumptions")
 
+    tol_key = "[diffusion] tol" if tol is None else "--tol"
     if tol is None:
         tol = num("diffusion", "tol")
     quad = None
     if tol is not None:
-        quad = QuadratureConfig(rel_tol=tol, abs_tol=tol * 1e-3)
+        try:
+            quad = QuadratureConfig(rel_tol=tol, abs_tol=tol * 1e-3)
+        except DomainError as exc:
+            raise ConfigError(f"{tol_key}: {exc}, got {tol!r}") from None
     anchor = num("diffusion", "anchor", default=0.0)
     probe_limit = num("diffusion", "probe_limit", default=1e6)
 
@@ -240,10 +244,13 @@ def load_config(path: str, seed: int | None = None,
     if ass_sec:
         if "m0" not in ass_sec:
             raise ConfigError("[assumptions] needs m0")
-        assumptions = AssumptionParams(**{
-            key: num("assumptions", key)
-            for key in ("m0", "sigma0", "gamma", "r", "sigma1", "delta",
-                        "r_cap")})
+        try:
+            assumptions = AssumptionParams(**{
+                key: num("assumptions", key)
+                for key in ("m0", "sigma0", "gamma", "r", "sigma1", "delta",
+                            "r_cap")})
+        except DomainError as exc:
+            raise ConfigError(f"[assumptions] {exc}") from None
 
     sim = None
     if sim_sec:

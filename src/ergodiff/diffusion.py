@@ -59,7 +59,8 @@ class AssumptionParams:
     r_cap: float | None = None
 
     def __post_init__(self):
-        if self.m0 <= 0:
+        # each test is written to fail on NaN
+        if not self.m0 > 0:
             raise DomainError("m0 must be positive")
         lower = (self.sigma0, self.gamma, self.r)
         upper = (self.sigma1, self.delta, self.r_cap)
@@ -68,10 +69,10 @@ class AssumptionParams:
         if any(v is not None for v in upper) and any(v is None for v in upper):
             raise DomainError("upper block needs sigma1, delta and r_cap together")
         if self.sigma0 is not None:
-            if self.sigma0 <= 0 or self.r <= 0 or self.gamma >= 1:
+            if not (self.sigma0 > 0 and self.r > 0 and self.gamma < 1):
                 raise DomainError("lower block requires sigma0>0, r>0, gamma<1")
         if self.sigma1 is not None:
-            if self.sigma1 <= 0 or self.r_cap <= 0 or self.delta >= 1:
+            if not (self.sigma1 > 0 and self.r_cap > 0 and self.delta < 1):
                 raise DomainError("upper block requires sigma1>0, r_cap>0, delta<1")
 
     @property

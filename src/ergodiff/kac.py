@@ -9,11 +9,13 @@ and rho = 1 on the ray [a, inf)
     u_k = k [rho P + (S - S(a)) Q] / rho(a),
     P(x) = int_a^x (S - S(a)) u_{k-1} m,   Q(x) = int_x^end rho u_{k-1} m.
 
-Each curve is interpolated (shape-preserving cubic) inside the next order's
-quadrature, and the grid doubles until the requested values settle.  On the
-ray the grid stops at a horizon L and Q adds the tail beyond it: the leading
-power law fitted on the last decade of the grid (log-log regression) times
-m.  A divergent tail at order k makes that row and every higher one +inf.
+Each curve is interpolated inside the next order's quadrature by a private
+shape-preserving cubic (PCHIP, ``_pchip``) that reproduces SciPy's
+``PchipInterpolator`` bit for bit, and the grid doubles until the requested
+values settle.  On the ray the grid stops at a horizon L and Q adds the tail
+beyond it: the leading power law fitted on the last decade of the grid
+(log-log regression) times m.  A divergent tail at order k makes that row
+and every higher one +inf.
 Hitting from below reflects the model through the target.
 
 Within one table, S and m are evaluated once per distinct node array: the
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .diffusion import DiffusionModel
 from .errors import (DomainError, InterpolationError,
@@ -156,8 +157,59 @@ def _interpolant(grid: np.ndarray, vals: np.ndarray) -> Callable:
     if np.allclose(vals, vals[0], rtol=0, atol=1e-300):
         const = float(vals[0])
         return lambda xs: np.full_like(np.asarray(xs, dtype=float), const)
-    pch = PchipInterpolator(grid, vals, extrapolate=True)
+    pch = _pchip(grid, vals)
     return lambda xs: np.maximum(pch(np.asarray(xs, dtype=float)), 0.0)
+
+
+def _edge_slope(h0, h1, m0, m1) -> float:
+    """Moler's one-sided three-point end derivative, with its two shape
+    fixes: 0 against the sign of the end slope m0, 3 m0 where the slopes
+    change sign and the estimate overshoots."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(grid: np.ndarray, vals: np.ndarray) -> Callable:
+    """Shape-preserving piecewise cubic Hermite interpolant (PCHIP; Fritsch
+    & Carlson 1980, interior derivatives after Fritsch & Butland 1984)
+    through finite ``vals`` on the strictly increasing ``grid``, extrapolated
+    by the end cubics.
+
+    The arithmetic repeats SciPy's ``PchipInterpolator`` expression for
+    expression, so the two agree bit for bit: interior derivatives are the
+    weighted harmonic mean of the neighbouring slopes (0 where they change
+    sign or either is 0), the coefficients are ``CubicHermiteSpline``'s and
+    a value is summed from the constant term up with z = x - x_i raised by
+    repeated multiplication.
+    """
+    h = np.diff(grid)
+    slope = np.diff(vals) / h
+    d = np.empty_like(vals)
+    if grid.size == 2:
+        d[:] = slope[0]
+    else:
+        m0, m1, h0, h1 = slope[:-1], slope[1:], h[:-1], h[1:]
+        flat = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
+        w1, w2 = 2 * h1 + h0, h1 + 2 * h0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m0 + w2 / m1) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = _edge_slope(h[0], h[1], slope[0], slope[1])
+        d[-1] = _edge_slope(h[-1], h[-2], slope[-1], slope[-2])
+    t = (d[:-1] + d[1:] - 2 * slope) / h
+    c0, c1, c2, c3 = t / h, (slope - d[:-1]) / h - t, d[:-1], vals[:-1]
+    last = grid.size - 2
+
+    def pchip(xs):
+        i = np.clip(np.searchsorted(grid, xs, "right") - 1, 0, last)
+        s = xs - grid[i]
+        z = s * s
+        return 0.0 + c3[i] + c2[i] * s + c1[i] * z + c0[i] * (z * s)
+    return pchip
 
 
 def exit_moment_table(model: DiffusionModel, a: float, b: float,

@@ -75,7 +75,7 @@ class QuadratureConfig:
     divergence_cap: float = 1e12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):  # NaN too
             raise DomainError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")

@@ -1,12 +1,21 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ergodiff
 from ergodiff.cli import main
 from ergodiff.config import (load_config, parse_function, parse_initial_law,
                              parse_model)
 from ergodiff.errors import ConfigError
+
+SRC = Path(ergodiff.__file__).resolve().parents[1]
+CLI_CONFIG = (Path(__file__).resolve().parents[1] / "perfbench"
+              / "cli_config.ini")
 
 FULL = """
 [diffusion]
@@ -33,6 +42,7 @@ x_grid = 0.5, 1.0, 1.5
 orders = 1
 constants_replicas = 300
 """
+LAST = "constants_replicas = 300"  # the file's last line: append sections here
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -92,15 +102,50 @@ def test_section_names_are_case_insensitive(tmp_path):
     ("f = indicator(-0.5, 0.5)", "f = indicator(lo, 0.5)",
      ("indicator(lo, 0.5)", "'lo'")),
     ("side = from_above", "side = above", ("[experiment] side", "'above'")),
-    ("orders = 1", "orders = -1", ("[experiment] orders", "-1"))],
+    ("orders = 1", "orders = -1", ("[experiment] orders", "-1")),
+    ("model = ou(1.0)", "model = ou(1.0)\ntol = -1",
+     ("[diffusion] tol", "-1")),
+    ("model = ou(1.0)", "model = ou(1.0)\ntol = 0",
+     ("[diffusion] tol", "must be positive")),
+    ("model = ou(1.0)", "model = ou(1.0)\ntol = nan",
+     ("[diffusion] tol", "nan")),
+    (LAST, LAST + "\n[assumptions]\nm0 = -1", ("[assumptions]", "m0")),
+    (LAST, LAST + "\n[assumptions]\nm0 = nan", ("[assumptions]", "m0")),
+    (LAST, LAST + "\n[assumptions]\nm0 = 10\n"
+     "sigma0 = -1\ngamma = 0\nr = 1", ("[assumptions]", "sigma0")),
+    (LAST, LAST + "\n[assumptions]\nm0 = 10\n"
+     "sigma1 = 1\ndelta = 0\nr_cap = 0", ("[assumptions]", "r_cap"))],
     ids=["orders", "step", "replicas", "target", "probe_limit", "model",
-         "indicator", "side", "negative-orders"])
+         "indicator", "side", "negative-orders", "negative-tol", "zero-tol",
+         "nan-tol", "m0", "nan-m0", "sigma0", "r_cap"])
 def test_bad_value_is_a_config_error(tmp_path, capsys, old, new, names):
     text = FULL.format(out=tmp_path / "o").replace(old, new)
     assert main(["moments", "--config", _write(tmp_path, text)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert all(name in err for name in names)
+
+
+def test_out_of_range_tol_flag_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, FULL.format(out=tmp_path / "o"))
+    assert main(["model", "--config", path, "--tol", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: --tol: ")
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the runtime needs NumPy only: every scipy import fails in this process
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from ergodiff.cli import main\n"
+        "for cmd in ('model', 'moments'):\n"
+        f"    code = main([cmd, '--config', {str(CLI_CONFIG)!r}, "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "    assert code == 0, (cmd, code)\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_parse_model_variants():

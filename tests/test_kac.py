@@ -4,6 +4,7 @@ import traceback
 import numpy as np
 import pytest
 from scipy import integrate as sci
+from scipy.interpolate import PchipInterpolator
 
 from ergodiff import kac
 from ergodiff.diffusion import DiffusionModel, bounded_drift, brownian, ou
@@ -284,6 +285,50 @@ def test_failed_table_leaves_its_memo_empty(monkeypatch, ou1):
     frame = next(f for f, _ in traceback.walk_tb(err.value.__traceback__)
                  if f.f_code.co_name == "_settle")
     assert [frame.f_locals[k].clear.__self__ for k in "Sm"] == [{}, {}]
+
+
+def _pchip_data_200():
+    # non-uniform grid; a rising run, a flat run, a falling run, then sign
+    # changes with exact zeros among them
+    rng = np.random.default_rng(5)
+    grid = np.cumsum(rng.uniform(0.01, 0.3, 200)) - 3.0
+    vals = np.concatenate([
+        np.cumsum(rng.exponential(size=50)),
+        np.full(30, 2.5),
+        2.5 - np.cumsum(rng.exponential(size=50)),
+        np.round(np.sin(np.arange(70.0)) * rng.uniform(0, 3, 70), 1)])
+    return grid, vals
+
+
+_PCHIP_CASES = {
+    "two_points": (np.array([-0.3, 0.4]), np.array([1.0, 2.5])),
+    # left end: the three-point estimate has the wrong sign, so d = 0
+    "edge_zero": (np.array([0.0, 0.6, 1.7]), np.array([0.0, 0.1, 5.0])),
+    # left end: the slopes change sign and the estimate overshoots 3 m0
+    "edge_three_m0": (np.array([0.0, 1.1, 1.9]), np.array([0.0, 1.0, -9.0])),
+    "mixed_200": _pchip_data_200(),
+}
+
+
+def test_pchip_cases_take_both_edge_fixes():
+    for name, want in (("edge_zero", 0.0), ("edge_three_m0", 3.0)):
+        grid, vals = _PCHIP_CASES[name]
+        h, m = np.diff(grid), np.diff(vals) / np.diff(grid)
+        assert kac._edge_slope(h[0], h[1], m[0], m[1]) == want * m[0]
+        assert ((2 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1]) \
+            != want * m[0]
+
+
+@pytest.mark.parametrize("name", list(_PCHIP_CASES))
+def test_pchip_matches_scipy_bit_for_bit(name):
+    grid, vals = _PCHIP_CASES[name]
+    span = grid[-1] - grid[0]
+    xs = np.concatenate([grid, [grid[-1]], 0.5 * (grid[:-1] + grid[1:]),
+                         [grid[0] - 0.5 * span, grid[0] - 1e-9,
+                          grid[-1] + 1e-9, grid[-1] + 0.5 * span, np.nan]])
+    want = PchipInterpolator(grid, vals, extrapolate=True)(xs)
+    got = kac._pchip(grid, vals)(xs)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 # Tables recorded with the separate exit and hitting recursions that the
