@@ -12,8 +12,7 @@ from .diffusion import (AssumptionParams, DiffusionModel, bounded_drift,
                         brownian, ou)
 from .kac import (MomentTable, exit_moment_table, hitting_moment_table,
                   mean_exit_time, simultaneity_check)
-from .quadrature import (QuadratureConfig, QuadratureResult, integrate_finite,
-                         integrate_semi_infinite)
+from .quadrature import QuadratureConfig, QuadratureResult, integrate_finite
 from .simulator import (InitialLaw, RegenerationSample, SimConfig,
                         estimate_constants, estimate_deviation_prob,
                         estimate_hitting_moments, simulate_paths)
@@ -23,7 +22,7 @@ __all__ = [
     "DeviationReport", "DiffusionModel", "InitialLaw", "MomentTable",
     "QuadratureConfig", "QuadratureResult", "RegenerationSample", "SimConfig",
     "bounded_drift", "brownian", "ergodic_bound_l1", "ergodic_bound_sup",
-    "estimate_constants", "estimate_deviation_prob", "estimate_hitting_moments", "exit_moment_table", "hitting_moment_table", "integrate_finite", "integrate_semi_infinite",
+    "estimate_constants", "estimate_deviation_prob", "estimate_hitting_moments", "exit_moment_table", "hitting_moment_table", "integrate_finite",
     "tail_power_integral", "head_power_integral", "mean_exit_time",
     "moment_lower_bound", "moment_upper_bound", "nt_deviation_bound", "ou",
     "p_star_bracket", "simulate_paths",

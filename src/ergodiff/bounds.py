@@ -19,8 +19,8 @@ import numpy as np
 from .diffusion import AssumptionParams
 from .errors import (DomainError, InconsistentParamsError, MissingMomentsError,
                      RangeError)
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, integrate_finite,
-                         integrate_semi_infinite)
+from .gridfn import FINITE, tail
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_finite
 
 __all__ = [
     "BracketedIntegral", "tail_power_integral", "head_power_integral",
@@ -46,14 +46,18 @@ def tail_power_integral(p: float, q: float, x: float, a: float,
 
     Requires 0 < a <= x and 0 <= p < q-1.  The quadrature value is checked
     against the bracket; a violation raises RangeError (it would mean the
-    quadrature and the closed forms disagree).
+    quadrature and the closed forms disagree), and so does a tail whose
+    power p - q lies too close to -1 to integrate (``gridfn.tail``).
     """
     if not 0 < a <= x:
         raise DomainError("need 0 < a <= x")
     if not 0 <= p < q - 1:
         raise DomainError("need 0 <= p < q - 1 (integral diverges otherwise)")
-    res = integrate_semi_infinite(
-        lambda t: (np.asarray(t) - a) ** p * np.asarray(t) ** (-q), x, math.inf, cfg)
+    res = tail(lambda t: p * np.log(t - a) - q * np.log(t), x, 1, x,
+               cfg.rel_tol, cfg.abs_tol)
+    if res.verdict != FINITE:
+        raise RangeError(f"tail power {res.power:.4g} too close to -1 to "
+                         "integrate")
     lower = (x - a) ** (p + 1) / ((q - p - 1) * x ** q)
     upper = x ** (p + 1) / ((q - p - 1) * x ** q)
     return _checked(res.value, lower, upper, res.error_estimate)

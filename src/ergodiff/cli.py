@@ -67,19 +67,20 @@ def _fmt(x) -> str:
 
 def _probe_grid(cfg: ExperimentConfig) -> np.ndarray:
     """The points |x| > m0 at which the assumption envelopes are checked:
-    401 a side, geometric from m0 to min(probe_limit, 1000 m0)."""
+    401 a side, geometric from m0 to 1000 m0."""
     m0 = cfg.assumptions.m0
-    hi = min(cfg.probe_limit, 1000.0 * m0)
-    half = np.geomspace(m0 * (1 + 1e-9), hi, 401)
+    half = np.geomspace(m0 * (1 + 1e-9), 1000.0 * m0, 401)
     return np.concatenate([-half[::-1], half])
 
 
 def cmd_model(cfg: ExperimentConfig) -> int:
-    report = cfg.model.classify_recurrence(cfg.probe_limit)
+    report = cfg.model.classify_recurrence()
     lines = [_header(cfg)]
     mass = "inf" if math.isinf(report.speed_mass) else f"{report.speed_mass:.6g}"
     cls = _CLASS_DISPLAY[report.classification]
-    summary = f"{cls}, M={mass} (numerical, probed to {report.probed_up_to:g})"
+    sr, sl, mr, ml = (f"{p:.4g}" for p in report.tail_powers)
+    summary = (f"{cls}, M={mass} (numerical; endpoint powers right/left: "
+               f"s {sr}/{sl}, m {mr}/{ml})")
     lines.append(summary)
 
     if cfg.assumptions is not None:
@@ -107,8 +108,7 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
     if cfg.target is None or cfg.x_grid.size == 0:
         raise ConfigError("[experiment] moments needs target= and x_grid=")
     table = hitting_moment_table(cfg.model, cfg.target, cfg.side,
-                                 cfg.x_grid, cfg.orders,
-                                 probe_limit=cfg.probe_limit)
+                                 cfg.x_grid, cfg.orders)
     path = _out_path(cfg, "moments.csv")
     table.to_csv(path, header=_header(cfg))
     print(f"wrote {path}")
@@ -182,9 +182,9 @@ def _mu_values(cfg: ExperimentConfig) -> tuple[float, float]:
     else:
         span = 5.0 * (cfg.sim.b - cfg.sim.a)
         lo, hi = cfg.sim.a - span, cfg.sim.b + span
-    mu_f = cfg.model.mu_integral(f.fn, lo, hi, cfg.probe_limit)
+    mu_f = cfg.model.mu_integral(f.fn, lo, hi)
     mu_abs = cfg.model.mu_integral(lambda x: np.abs(np.asarray(f.fn(x))),
-                                   lo, hi, cfg.probe_limit)
+                                   lo, hi)
     return mu_f, mu_abs
 
 

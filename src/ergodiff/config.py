@@ -31,8 +31,7 @@ _CALL_RE = re.compile(r"^\s*(point|uniform|gaussian)\s*\(\s*([^)]*)\s*\)\s*$")
 _INDICATOR_RE = re.compile(r"^\s*indicator\s*\(\s*([^,]+)\s*,\s*([^)]+)\s*\)\s*$")
 # every key load_config reads, by section; any other section or key is an error
 _KEYS = {
-    "diffusion": {"model", "drift", "diffusion", "tol", "anchor",
-                  "probe_limit"},
+    "diffusion": {"model", "drift", "diffusion", "tol", "anchor"},
     "assumptions": {"m0", "sigma0", "gamma", "r", "sigma1", "delta", "r_cap"},
     "sim": {"step", "horizon", "replicas", "seed", "a", "b", "initial",
             "crossing", "blowup_guard"},
@@ -66,7 +65,6 @@ class ExperimentConfig:
     t_grid: np.ndarray
     eps_grid: np.ndarray
     out_dir: str
-    probe_limit: float
     # moments command inputs
     target: float | None
     side: str
@@ -226,7 +224,6 @@ def load_config(path: str, seed: int | None = None,
         except DomainError as exc:
             raise ConfigError(f"{tol_key}: {exc}, got {tol!r}") from None
     anchor = num("diffusion", "anchor", default=0.0)
-    probe_limit = num("diffusion", "probe_limit", default=1e6)
 
     try:
         if "model" in diff_sec:
@@ -318,7 +315,6 @@ def load_config(path: str, seed: int | None = None,
         t_grid=np.sort(t_grid),
         eps_grid=np.sort(eps_grid),
         out_dir=(out if out is not None else exp_sec.get("out", "results")),
-        probe_limit=probe_limit,
         target=num("experiment", "target"),
         side=side,
         x_grid=x_grid,

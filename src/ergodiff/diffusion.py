@@ -13,6 +13,9 @@ and S are fixed-panel antiderivatives, so s, S, m evaluate over whole node
 batches at once and their values do not depend on earlier calls; m is
 computed as 2*exp(B - log sigma^2), which stays finite far into tails where s
 itself would overflow.
+
+The recurrence verdict rests on the four tails of s and m, each judged by
+``gridfn.tail`` from log s = -B and log m, so that no tail overflows.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DomainError, InconclusiveError, NonConvergenceError,
-                     NotPositiveRecurrentError, NumericalBlowupError)
-from .gridfn import Antiderivative
+from .errors import (DomainError, InconclusiveError, NotPositiveRecurrentError,
+                     NumericalBlowupError)
+from .gridfn import (DIVERGENT, FINITE, INCONCLUSIVE, TAIL_BAND,
+                     Antiderivative, tail)
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, integrate_finite,
-                         integrate_semi_infinite, vectorize_integrand)
+                         vectorize_integrand)
 
 __all__ = [
     "AssumptionParams", "DiffusionModel", "RecurrenceReport",
@@ -104,7 +108,7 @@ class AssumptionReport:
 class RecurrenceReport:
     classification: str
     speed_mass: float  # total mass of m; +inf unless positive recurrent
-    probed_up_to: float  # verdict is numerical, probed to this range
+    tail_powers: tuple  # endpoint powers: s right, s left, m right, m left
 
     @property
     def is_positive_recurrent(self) -> bool:
@@ -135,7 +139,7 @@ class DiffusionModel:
             lambda xs: np.exp(-self._log_scale.values(xs)),
             anchor=self.anchor, rel_tol=quad.rel_tol * 0.1,
             abs_tol=quad.abs_tol * 0.1)
-        self._recurrence: dict[float, RecurrenceReport] = {}
+        self._recurrence: RecurrenceReport | None = None
 
     # -- coefficient access -------------------------------------------------
 
@@ -200,66 +204,53 @@ class DiffusionModel:
         out = 2.0 * np.exp(self._log_scale.values(xs) - np.log(s2))
         return float(out[0]) if np.ndim(x) == 0 else out
 
-    def speed_density_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda xs: self.speed_density(np.asarray(xs))
+    def log_speed_density(self, x) -> np.ndarray:
+        """log m(x) = log 2 + B(x) - log sigma^2(x); vectorized."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        return (math.log(2.0) + self._log_scale.values(xs)
+                - np.log(self.sigma_sq(xs)))
 
     # -- classification -----------------------------------------------------
 
-    def classify_recurrence(self, probe_limit: float = 1e6) -> RecurrenceReport:
-        """Numerical recurrence trichotomy, probed to ``probe_limit``.
+    def classify_recurrence(self) -> RecurrenceReport:
+        """Numerical recurrence trichotomy from the tails of s and m.
 
-        The verdict rests on tail divergence of s (recurrence) and of m
-        (speed mass); it is a finite-range judgement and is reported as such.
+        Recurrent when S is unbounded on both sides, positive recurrent when
+        m also has finite mass.  Each tail is judged by its endpoint power
+        (``gridfn.tail``); a verdict that needs a tail whose power lies
+        within TAIL_BAND of -1 raises InconclusiveError.
         """
-        if probe_limit <= 0:
-            raise DomainError("probe_limit must be positive")
-        cached = self._recurrence.get(probe_limit)
-        if cached is not None:
-            return cached
-
-        # classification needs a verdict plus a speed mass good to a modest
-        # relative accuracy; slow power-law tails cannot be pinned to the
-        # full quadrature tolerance inside a finite probe range
-        cls_quad = QuadratureConfig(
-            rel_tol=max(self.quad.rel_tol, 1e-7),
-            abs_tol=self.quad.abs_tol,
-            max_subdivisions=self.quad.max_subdivisions,
-            divergence_cap=self.quad.divergence_cap)
-
-        def ray(f, direction):
-            try:
-                return integrate_semi_infinite(f, self.anchor, direction,
-                                               cls_quad, max_range=probe_limit)
-            except NonConvergenceError as exc:
-                raise InconclusiveError(
-                    f"tail of {self.label} unresolved up to {probe_limit:g}: {exc}"
-                ) from exc
-
-        s_fn = lambda xs: np.exp(-self._log_scale.values(np.asarray(xs)))
-        s_right = ray(s_fn, math.inf)
-        s_left = ray(s_fn, -math.inf)
-        if not (s_right.diverged and s_left.diverged):
-            report = RecurrenceReport(TRANSIENT, math.inf, probe_limit)
+        if self._recurrence is not None:
+            return self._recurrence
+        log_s = lambda xs: -self._log_scale.values(xs)
+        tails = [tail(fn, self.anchor, side, 1.0, self.quad.rel_tol,
+                      self.quad.abs_tol)
+                 for fn in (log_s, self.log_speed_density) for side in (1, -1)]
+        verdicts = [t.verdict for t in tails]
+        if FINITE in verdicts[:2]:
+            cls = TRANSIENT
+        elif DIVERGENT in verdicts[2:] and INCONCLUSIVE not in verdicts[:2]:
+            cls = NULL_RECURRENT
+        elif INCONCLUSIVE in verdicts:
+            i = verdicts.index(INCONCLUSIVE)
+            raise InconclusiveError(
+                f"{self.label}: the {('right', 'left')[i % 2]} tail of "
+                f"{'sm'[i // 2]} has endpoint power {tails[i].power:.4g}, "
+                f"within {TAIL_BAND:g} of -1")
         else:
-            m_fn = self.speed_density_fn()
-            m_right = ray(m_fn, math.inf)
-            m_left = ray(m_fn, -math.inf)
-            if m_right.diverged or m_left.diverged:
-                report = RecurrenceReport(NULL_RECURRENT, math.inf, probe_limit)
-            else:
-                report = RecurrenceReport(POSITIVE_RECURRENT,
-                                          m_right.value + m_left.value,
-                                          probe_limit)
-        self._recurrence[probe_limit] = report
-        return report
+            cls = POSITIVE_RECURRENT
+        mass = tails[2].value + tails[3].value if cls == POSITIVE_RECURRENT \
+            else math.inf
+        self._recurrence = RecurrenceReport(
+            cls, mass, tuple(t.power for t in tails))
+        return self._recurrence
 
-    def invariant_density(self, x, probe_limit: float = 1e6):
+    def invariant_density(self, x):
         """mu(x) = m(x)/M; requires positive recurrence."""
-        report = self.classify_recurrence(probe_limit)
+        report = self.classify_recurrence()
         if not report.is_positive_recurrent:
             raise NotPositiveRecurrentError(
-                f"{self.label} classified {report.classification} "
-                f"(probed to {report.probed_up_to:g})")
+                f"{self.label} classified {report.classification}")
         out = self.speed_density(x) / report.speed_mass
         return out
 
@@ -277,32 +268,25 @@ class DiffusionModel:
         checks = []
         lower_ok = upper_ok = None
 
+        s2 = ratio = grid  # empty: every check fails
         if grid.size:
             s2 = self.sigma_sq(grid)
-            abs_sigma = np.sqrt(s2)
             ratio = -grid * self._drift(grid) / s2
+        abs_sigma = np.sqrt(s2)
+
+        def pair(names, sigma_slack, ratio_slack):
+            checks.extend([_worst(names[0], grid, sigma_slack),
+                           _worst(names[1], grid, ratio_slack)])
+            return checks[-2].passed and checks[-1].passed
+
         if params.has_lower:
-            if grid.size == 0:
-                checks.append(InequalityCheck("sigma_lower", False, math.nan, -math.inf))
-                checks.append(InequalityCheck("drift_ratio_lower", False, math.nan, -math.inf))
-                lower_ok = False
-            else:
-                slack = abs_sigma - params.sigma0 * np.abs(grid) ** params.gamma
-                checks.append(_worst("sigma_lower", grid, slack))
-                slack = ratio - params.r
-                checks.append(_worst("drift_ratio_lower", grid, slack))
-                lower_ok = checks[-2].passed and checks[-1].passed
+            lower_ok = pair(("sigma_lower", "drift_ratio_lower"),
+                            abs_sigma - params.sigma0 * np.abs(grid) ** params.gamma,
+                            ratio - params.r)
         if params.has_upper:
-            if grid.size == 0:
-                checks.append(InequalityCheck("sigma_upper", False, math.nan, -math.inf))
-                checks.append(InequalityCheck("drift_ratio_upper", False, math.nan, -math.inf))
-                upper_ok = False
-            else:
-                slack = params.sigma1 * np.abs(grid) ** params.delta - abs_sigma
-                checks.append(_worst("sigma_upper", grid, slack))
-                slack = np.minimum(params.r_cap - ratio, ratio)  # 0 < ratio <= R
-                checks.append(_worst("drift_ratio_upper", grid, slack))
-                upper_ok = checks[-2].passed and checks[-1].passed
+            upper_ok = pair(("sigma_upper", "drift_ratio_upper"),
+                            params.sigma1 * np.abs(grid) ** params.delta - abs_sigma,
+                            np.minimum(params.r_cap - ratio, ratio))  # 0 < ratio <= R
 
         bracket = None
         if params.has_lower and params.has_upper:
@@ -312,10 +296,9 @@ class DiffusionModel:
 
     # -- misc ---------------------------------------------------------------
 
-    def mu_integral(self, f: Callable, lo: float, hi: float,
-                    probe_limit: float = 1e6) -> float:
+    def mu_integral(self, f: Callable, lo: float, hi: float) -> float:
         """int f dmu over [lo, hi] by quadrature (positive recurrence required)."""
-        report = self.classify_recurrence(probe_limit)
+        report = self.classify_recurrence()
         if not report.is_positive_recurrent:
             raise NotPositiveRecurrentError(self.label)
         fv = vectorize_integrand(f)
@@ -334,6 +317,8 @@ def _check_positive(xs: np.ndarray, s2: np.ndarray) -> None:
 
 
 def _worst(name: str, grid: np.ndarray, slack: np.ndarray) -> InequalityCheck:
+    if grid.size == 0:
+        return InequalityCheck(name, False, math.nan, -math.inf)
     i = int(np.argmin(slack))
     # tiny negative slack from roundoff still counts as satisfied
     tol = 1e-12 * (1.0 + float(np.max(np.abs(slack))))

@@ -17,12 +17,7 @@ class QuadratureFailure(ErgodiffError):
 
 class NonConvergenceError(QuadratureFailure):
     """The subdivision budget was exhausted before the error tolerance was
-    met, or a tail could not be resolved within the probed range.  Distinct
-    from a Divergent verdict, which is a legitimate result."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    met."""
 
 
 class EvaluationError(QuadratureFailure):
@@ -47,7 +42,8 @@ class NotPositiveRecurrentError(ErgodiffError):
 
 
 class InconclusiveError(ErgodiffError):
-    """Recurrence classification could not be resolved at the probe limit."""
+    """A verdict needs a tail whose endpoint power is too close to -1 to
+    tell an integrable tail from a divergent one."""
 
 
 class MissingMomentsError(ErgodiffError):

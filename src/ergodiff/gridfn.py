@@ -1,4 +1,5 @@
-"""Vectorized running integrals along sorted grids and from a fixed anchor.
+"""Vectorized running integrals along sorted grids and from a fixed anchor,
+and the integral over a ray with its verdict.
 
 ``cumulative_panels`` and ``Antiderivative`` evaluate running integrals at
 whole batches of points with one Gauss-Kronrod panel per gap (bisected where
@@ -6,19 +7,26 @@ the panel error check fails), which is what makes the repeated Green's
 function quadrature affordable.  Every panel value depends only on its own
 endpoints, never on the other gaps of the batch, so results do not depend on
 how queries are batched or ordered.
+
+``tail`` integrates over a ray with the same panels on a geometric grid and
+adds the remainder beyond the grid from the integrand's endpoint power, the
+idea of QUADPACK's QAGI mapping of [a, inf) onto (0, 1] (Piessens et al.,
+1983) with the power kept: the power is also the verdict, finite or +inf.
 """
 
 from __future__ import annotations
 
+import math
 import threading
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .quadrature import _ABSCISSAE, _GAUSS_W, _KRONROD_W, _check_finite
 
-__all__ = ["Antiderivative", "cumulative_panels"]
+__all__ = ["Antiderivative", "Tail", "cumulative_panels", "tail"]
 
 _MAX_DEPTH = 24
 
@@ -76,6 +84,83 @@ def _panel_integrals(fv, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
         child = levels[depth + 1]
         levels[depth][splits[depth]] = child[0::2] + child[1::2]
     return levels[0]
+
+
+FINITE, DIVERGENT, INCONCLUSIVE = "finite", "+inf", "inconclusive"
+# A tail's grid: distances 0 and unit * 2^j from its start, out to about 1e12
+# units, evaluated a chunk of nodes at a time; it stops where log g leaves
+# +-_LOG_LIMIT.  Endpoint powers within TAIL_BAND of -1 decide nothing.
+_TAIL_Y = 2.0 ** np.arange(41)
+_TAIL_CHUNK = 8
+_LOG_LIMIT = 700.0
+TAIL_BAND = 0.05
+
+
+@dataclass(frozen=True)
+class Tail:
+    """A ray integral (+inf if divergent, NaN if inconclusive), its error
+    estimate, the endpoint power p (g ~ y^p at the end of the grid) and the
+    verdict."""
+
+    value: float
+    error_estimate: float
+    power: float
+    verdict: str
+
+
+def tail(log_g: Callable[[np.ndarray], np.ndarray], start: float,
+         direction: int, unit: float = 1.0, rel_tol: float = 1e-10,
+         abs_tol: float = 1e-13) -> Tail:
+    """Integral of g = exp(log_g) over [start, inf) (``direction`` +1) or
+    (-inf, start] (-1), with its verdict.
+
+    One GK15 panel per gap of the grid (bisected where its error check
+    fails), summed from the top, plus the remainder g(L) y_L / (-p-1) beyond
+    the last node L, where y is the distance from ``start`` and the endpoint
+    power p is read from log g at the last two nodes.  p >= -1 + TAIL_BAND
+    is +inf and |p + 1| < TAIL_BAND inconclusive.  Where log g drops below
+    -700 the integrand is taken to vanish from there on (p = -inf); where it
+    exceeds +700 the integral is +inf (p = +inf).  ``log_g`` must accept
+    ndarrays; it is never evaluated at ``start`` itself.
+    """
+    if direction not in (1, -1):
+        raise DomainError("direction must be +1 or -1")
+    ys = unit * _TAIL_Y
+    lg = np.empty(0)
+    for chunk in np.split(ys, range(_TAIL_CHUNK, ys.size, _TAIL_CHUNK)):
+        lg = np.concatenate([lg, log_g(start + direction * chunk)])
+        if not np.all(np.abs(lg) <= _LOG_LIMIT):  # NaN too
+            break
+    if np.isnan(lg).any():
+        raise EvaluationError(f"log integrand is NaN on the ray from {start!r}")
+    out = np.nonzero(np.abs(lg) > _LOG_LIMIT)[0]
+    if out.size and lg[out[0]] > 0:
+        return Tail(math.inf, math.inf, math.inf, DIVERGENT)
+    if out.size:  # g has vanished: the grid ends at that node
+        ys = ys[:out[0] + 1]
+        p, remainder, err = -math.inf, 0.0, 0.0
+    else:
+        p = float(lg[-1] - lg[-2]) / math.log(2.0)
+        if p >= -1.0 + TAIL_BAND:
+            return Tail(math.inf, math.inf, p, DIVERGENT)
+        if p > -1.0 - TAIL_BAND:
+            return Tail(math.nan, math.nan, p, INCONCLUSIVE)
+        remainder = math.exp(lg[-1]) * float(ys[-1]) / (-p - 1.0)
+        # how much the remainder moves with p over the last two gaps
+        p_prev = float(lg[-2] - lg[-3]) / math.log(2.0)
+        err = abs(remainder * (p - p_prev) / (p + 1.0))
+
+    def g(y):
+        xs = start + direction * y
+        with np.errstate(over="ignore", under="ignore"):
+            vals = np.exp(log_g(xs))
+        _check_finite(xs, vals)
+        return vals
+
+    panels = _panel_integrals(g, np.r_[0.0, ys[:-1]], ys, rel_tol, abs_tol)
+    value = float(np.cumsum(np.r_[remainder, panels[::-1]])[-1])
+    err += float(np.maximum(abs_tol, rel_tol * np.abs(panels)).sum())
+    return Tail(value, err, p, FINITE)
 
 
 def _finite_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:

@@ -14,14 +14,16 @@ shape-preserving cubic (PCHIP, ``_pchip``) that reproduces SciPy's
 ``PchipInterpolator`` bit for bit, and the grid doubles until the requested
 values settle.  On the ray the grid stops at a horizon L and Q adds the tail
 beyond it: the leading power law fitted on the last decade of the grid
-(log-log regression) times m.  A divergent tail at order k makes that row
-and every higher one +inf.
-Hitting from below reflects the model through the target.
+(log-log regression) times m, integrated by ``gridfn.tail`` from log m.  A
+divergent tail at order k makes that row and every higher one +inf; a tail
+too close to the border of integrability to judge raises
+InconclusiveError.  Hitting from below reflects the model through the
+target.
 
-Within one table, S and m are evaluated once per distinct node array: the
-GK15 nodes of a round's gaps are the same for every order, once for P and
-once for Q, and a ray's tail windows are the same in every round.  The memo
-lives for that one table only and keeps nothing on the model.
+Within one table, S, m and log m are evaluated once per distinct node array:
+the GK15 nodes of a round's gaps are the same for every order, once for P
+and once for Q, and a ray's tail nodes are the same in every round.  The
+memo lives for that one table only and keeps nothing on the model.
 
 The order-1 case with a source |f| in place of 1 gives the cycle-integral
 constant of the L1 deviation bound in closed form (``first_block_sup``).
@@ -37,11 +39,10 @@ from typing import Callable
 import numpy as np
 
 from .diffusion import DiffusionModel
-from .errors import (DomainError, InterpolationError,
+from .errors import (DomainError, InconclusiveError, InterpolationError,
                      NotPositiveRecurrentError)
-from .gridfn import cumulative_panels
-from .quadrature import (QuadratureConfig, integrate_finite,
-                         integrate_semi_infinite, vectorize_integrand)
+from .gridfn import DIVERGENT, INCONCLUSIVE, cumulative_panels, tail
+from .quadrature import QuadratureConfig, integrate_finite, vectorize_integrand
 
 __all__ = [
     "MomentTable", "mean_exit_time", "first_block_sup", "exit_moment_table",
@@ -109,7 +110,7 @@ def mean_exit_time(model: DiffusionModel, a: float, b: float, x: float) -> float
     if a == b:
         return 0.0
     S = model.scale_function
-    m = model.speed_density_fn()
+    m = model.speed_density
     sa, sb, sx = S(a), S(b), S(x)
     left = integrate_finite(lambda xi: (S(xi) - sa) * m(xi), a, x, model.quad)
     right = integrate_finite(lambda xi: (sb - S(xi)) * m(xi), x, b, model.quad)
@@ -134,7 +135,7 @@ def first_block_sup(model: DiffusionModel, a: float, b: float, f,
         raise DomainError("first_block_sup needs a < b")
     lo, hi = support
     S = model.scale_function
-    m = model.speed_density_fn()
+    m = model.speed_density
     fv = vectorize_integrand(f)
     sa, sb = float(S(a)), float(S(b))
 
@@ -226,8 +227,7 @@ def exit_moment_table(model: DiffusionModel, a: float, b: float,
 
 
 def hitting_moment_table(model: DiffusionModel, target: float, side: str,
-                         x_grid, n: int, rel_tol: float = 1e-7,
-                         probe_limit: float = 1e6) -> MomentTable:
+                         x_grid, n: int, rel_tol: float = 1e-7) -> MomentTable:
     """One-sided hitting moments E_x T_target^k for k = 0..n.
 
     ``side`` is "from_above" (grid above the target, hitting downward) or
@@ -243,7 +243,7 @@ def hitting_moment_table(model: DiffusionModel, target: float, side: str,
         raise DomainError("from_above needs every grid point above the target")
     if side == FROM_BELOW and np.any(xs >= target):
         raise DomainError("from_below needs every grid point below the target")
-    report = model.classify_recurrence(probe_limit)
+    report = model.classify_recurrence()
     if not report.is_positive_recurrent:
         raise NotPositiveRecurrentError(
             f"{model.label} is {report.classification}")
@@ -268,12 +268,14 @@ def _settle(model: DiffusionModel, grid: np.ndarray, xs: np.ndarray, n: int,
             rel_tol: float, two_sided: bool) -> tuple[np.ndarray, list]:
     """Doubles the grid until the values at ``xs`` settle: +inf in the same
     places as the round before and every other value within ``rel_tol``.
-    S and m are memoized for this table only."""
+    S, m and log m are memoized for this table only."""
     S, m = _memo(model.scale_function), _memo(model.speed_density)
+    log_m = _memo(model.log_speed_density)
     try:
         prev = None
         for round_ in range(_MAX_REFINEMENTS + 1):
-            curves, fits = _curves(model.quad, S, m, grid, n, two_sided)
+            curves, fits = _curves(model.quad, S, m, log_m, grid, n,
+                                   two_sided)
             idx = np.searchsorted(grid, xs)
             extract = np.stack([c[idx] for c in curves])
             if prev is not None and np.array_equal(np.isinf(extract),
@@ -295,6 +297,7 @@ def _settle(model: DiffusionModel, grid: np.ndarray, xs: np.ndarray, n: int,
         # a caller that keeps the traceback of a failure keeps this frame
         S.clear()
         m.clear()
+        log_m.clear()
 
 
 def _hitting_grid(model: DiffusionModel, a: float,
@@ -349,16 +352,16 @@ def _memo(fn: Callable) -> Callable:
 
 
 def _curves(quad: QuadratureConfig, S: Callable, m: Callable,
-            grid: np.ndarray, n: int,
+            log_m: Callable, grid: np.ndarray, n: int,
             two_sided: bool) -> tuple[list[np.ndarray], list]:
     """Moment curves u_0..u_n on ``grid`` and the tail fits of a ray.
 
     u_k = k [rho P + (S - S(a)) Q] / rho(a) with P = int_a^x (S - S(a))
     u_{k-1} m and Q = int_x^end rho u_{k-1} m.  On an interval rho = S(b) - S;
     on the ray [a, inf) rho = 1 and Q also takes the fitted tail beyond the
-    grid.  Orders from the first divergent tail on are +inf.  ``S`` and ``m``
-    are the model's scale function and speed density (memoized by
-    ``_settle``).
+    grid.  Orders from the first divergent tail on are +inf.  ``S``, ``m``
+    and ``log_m`` are the model's scale function, speed density and its log
+    (memoized by ``_settle``).
     """
     sg = S(grid)
     sa = sg[0]
@@ -376,16 +379,20 @@ def _curves(quad: QuadratureConfig, S: Callable, m: Callable,
         if not two_sided:
             c_fit, kappa = (1.0, 0.0) if k == 1 else _fit_tail(grid, curves[-1])
             fits.append((k - 1, c_fit, kappa))
-            tail = integrate_semi_infinite(
-                lambda t: c_fit * np.asarray(t, dtype=float) ** kappa * m(t),
-                grid[-1], math.inf, quad)
-            if tail.diverged:
+            log_c = math.log(c_fit)
+            far = tail(lambda t: log_c + kappa * np.log(t) + log_m(t),
+                       grid[-1], 1, 1.0, quad.rel_tol, quad.abs_tol)
+            if far.verdict == INCONCLUSIVE:
+                raise InconclusiveError(
+                    f"order-{k} tail beyond x={grid[-1]:g} has endpoint "
+                    f"power {far.power:.4g}, too close to -1 to judge")
+            if far.verdict == DIVERGENT:
                 break
         P = cumulative_panels(wp, grid, quad.rel_tol, quad.abs_tol)
         Qc = cumulative_panels(wq, grid, quad.rel_tol, quad.abs_tol)
         Q = Qc[-1] - Qc
         if not two_sided:
-            Q = Q + tail.value
+            Q = Q + far.value
         curves.append(k * (rho_g * P + (sg - sa) * Q) / rho_a)
     curves += [np.full_like(grid, np.inf)] * (n + 1 - len(curves))
     return curves, fits

@@ -1,24 +1,14 @@
-"""Adaptive one-dimensional quadrature.
+"""Adaptive one-dimensional quadrature over finite intervals.
 
-Finite intervals use a nested Gauss(7)/Kronrod(15) pair on each panel with
-the panel error taken as the difference of the two rules; the panel with the
-worst error is bisected until the summed error meets tolerance.
-
-Semi-infinite rays follow the substitution u = a + t/(1-t), t in [0,1):
-its dyadic refinement toward t=1 is carried out directly in u coordinates
-as doubling windows [a + 2^k - 1, a + 2^(k+1) - 1], which avoids the
-floating-point degeneracy of t near 1.  Divergence is declared either when
-the running partial integral exceeds ``divergence_cap`` while the windows
-keep contributing, or when same-sign window contributions stop decaying
-(sustained ratio >= 0.999, which catches slow tails such as 1/x that never
-reach the cap).  Tails decaying with ratio within 1e-3 of 1 are numerically
-indistinguishable from divergent and are classified as such.
+A nested Gauss(7)/Kronrod(15) pair on each panel, with the panel error taken
+as the difference of the two rules; the panel with the worst error is
+bisected until the summed error meets tolerance.  Rays are integrated by
+``gridfn.tail``, which reuses these rules.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +20,6 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "integrate_finite",
-    "integrate_semi_infinite",
     "vectorize_integrand",
 ]
 
@@ -58,12 +47,6 @@ _GAUSS_W[1::2] = [
     0.129484966168870,
 ]
 
-# Tail classification knobs for the semi-infinite driver.
-_RATIO_DIVERGENT = 0.999
-_RATIO_RUN = 12
-_RATIO_SAFE = 0.95
-_MAX_WINDOWS = 1000
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -72,7 +55,6 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 4000
-    divergence_cap: float = 1e12
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):  # NaN too
@@ -93,7 +75,6 @@ class QuadratureResult:
     error_estimate: float
     subdivisions_used: int
     converged: bool
-    diverged: bool = False
 
 
 def vectorize_integrand(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -169,9 +150,7 @@ def integrate_finite(f: Callable, a: float, b: float,
         if used >= cfg.max_subdivisions:
             raise NonConvergenceError(
                 f"subdivision budget {cfg.max_subdivisions} exhausted "
-                f"(error {total_e + stuck_e:.3g} on value {total_v:.6g})",
-                partial=QuadratureResult(total_v, total_e + stuck_e, used, False),
-            )
+                f"(error {total_e + stuck_e:.3g} on value {total_v:.6g})")
         _, _, lo, hi, pv, pe = heapq.heappop(heap)
         if hi - lo <= width_floor:
             # at floating-point resolution; freeze this panel's error
@@ -193,112 +172,5 @@ def integrate_finite(f: Callable, a: float, b: float,
         # every remaining panel is at floating-point width: unresolvable
         raise NonConvergenceError(
             f"error {total_e + stuck_e:.3g} stuck above tolerance at "
-            "floating-point panel resolution",
-            partial=QuadratureResult(total_v, total_e + stuck_e, used, False),
-        )
+            "floating-point panel resolution")
     return QuadratureResult(total_v, total_e + stuck_e, used, True)
-
-
-def integrate_semi_infinite(f: Callable, a: float, direction: float,
-                            cfg: QuadratureConfig = DEFAULT_CONFIG,
-                            max_range: float | None = None) -> QuadratureResult:
-    """Integrate f over [a, +inf) or (-inf, a].
-
-    ``direction`` is +inf or -inf.  Returns a QuadratureResult; a divergent
-    integral is a legitimate outcome reported with ``diverged=True`` and an
-    infinite signed value.  Oscillatory or unresolvable tails raise
-    NonConvergenceError (with ``max_range`` set, an unresolved tail at the
-    range limit does the same).
-    """
-    if direction == math.inf:
-        g = f
-    elif direction == -math.inf:
-        base = vectorize_integrand(f)
-        g = lambda xs: base(2.0 * a - np.asarray(xs, dtype=float))
-    else:
-        raise DomainError("direction must be +inf or -inf")
-
-    # windows are integrated tighter than the overall goal so that the
-    # accumulated window errors leave headroom for the tail-acceptance gates
-    window_cfg = QuadratureConfig(
-        rel_tol=cfg.rel_tol / 16.0,
-        abs_tol=cfg.abs_tol / 8.0,
-        max_subdivisions=cfg.max_subdivisions,
-        divergence_cap=cfg.divergence_cap,
-    )
-
-    total = 0.0
-    err = 0.0
-    used = 0
-    prev_w: float | None = None
-    prev_ratio: float | None = None
-    prev_extrap: float | None = None
-    growth_run = 0
-    small_run = 0
-
-    for k in range(_MAX_WINDOWS):
-        lo = a + (2.0 ** k - 1.0)
-        hi = a + (2.0 ** (k + 1) - 1.0)
-        if max_range is not None and lo - a >= max_range:
-            raise NonConvergenceError(
-                f"tail not resolved within probe range {max_range:g}",
-                partial=QuadratureResult(total, err, used, False),
-            )
-        res = integrate_finite(g, lo, hi, window_cfg)
-        w = res.value
-        total += w
-        err += res.error_estimate
-        used += res.subdivisions_used
-
-        tol = cfg.tolerance(total)
-        if abs(total) > cfg.divergence_cap and abs(w) > tol:
-            return QuadratureResult(math.copysign(math.inf, total), math.inf,
-                                    used, False, diverged=True)
-
-        ratio = None
-        if prev_w is not None and prev_w != 0.0 and w * prev_w > 0:
-            ratio = abs(w) / abs(prev_w)
-
-        # sustained non-decay of same-sign windows: divergent tail
-        if ratio is not None and ratio >= _RATIO_DIVERGENT and abs(w) > tol:
-            growth_run += 1
-            if growth_run >= _RATIO_RUN:
-                return QuadratureResult(
-                    math.copysign(math.inf, total), math.inf,
-                    used, False, diverged=True)
-        else:
-            growth_run = 0
-
-        # fast-decaying tail: window contributions already below tolerance
-        if abs(w) <= 0.25 * tol:
-            small_run += 1
-            if small_run >= 2 and (ratio is None or ratio < _RATIO_SAFE):
-                r = 0.0 if ratio is None else ratio
-                tail = abs(w) * r / (1.0 - r) if r < 1.0 else 0.0
-                if tail <= 0.5 * tol:
-                    return QuadratureResult(total, err + tail, used, True)
-        else:
-            small_run = 0
-
-        # geometric tail extrapolation: exact for power-law tails, whose
-        # dyadic windows are geometric in k; accepted only once the ratio
-        # and the extrapolated total have both stabilized within tolerance
-        if ratio is not None and ratio < _RATIO_SAFE:
-            tail = w * ratio / (1.0 - ratio)
-            extrap = total + tail
-            if prev_extrap is not None and prev_ratio is not None \
-                    and abs(ratio - prev_ratio) < 2e-3:
-                drift_err = 8.0 * abs(extrap - prev_extrap)
-                if err + drift_err <= 0.9 * cfg.tolerance(extrap):
-                    return QuadratureResult(extrap, err + drift_err + abs(tail) * 1e-6,
-                                            used, True)
-            prev_extrap = extrap
-        else:
-            prev_extrap = None
-        prev_ratio = ratio
-        prev_w = w
-
-    raise NonConvergenceError(
-        f"semi-infinite tail unresolved after {_MAX_WINDOWS} windows",
-        partial=QuadratureResult(total, err, used, False),
-    )

@@ -106,18 +106,20 @@ class InitialLaw:
 
     @classmethod
     def point(cls, x0: float) -> "InitialLaw":
+        if not math.isfinite(x0):
+            raise ConfigError("point law needs a finite x0")
         return cls("point", (float(x0),))
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "InitialLaw":
-        if not lo < hi:
-            raise ConfigError("uniform law needs lo < hi")
+        if not -math.inf < lo < hi < math.inf:  # NaN fails too
+            raise ConfigError("uniform law needs finite lo < hi")
         return cls("uniform", (float(lo), float(hi)))
 
     @classmethod
     def gaussian(cls, mean: float, sd: float) -> "InitialLaw":
-        if sd <= 0:
-            raise ConfigError("gaussian law needs sd > 0")
+        if not (math.isfinite(mean) and 0 < sd < math.inf):
+            raise ConfigError("gaussian law needs a finite mean and sd > 0")
         return cls("gaussian", (float(mean), float(sd)))
 
     def sample(self, gen: np.random.Generator, n: int) -> np.ndarray:
@@ -145,16 +147,19 @@ class SimConfig:
     blowup_guard: float = 1e9
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ConfigError("step must be positive")
-        if self.horizon < self.step:
-            raise ConfigError("horizon must cover at least one step")
+        # each test is written to fail on NaN
+        if not 0 < self.step < math.inf:
+            raise ConfigError("step must be positive and finite")
+        if not self.step <= self.horizon < math.inf:
+            raise ConfigError("horizon must be finite and cover one step")
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if not self.a < self.b:
-            raise ConfigError("regeneration pair needs a < b")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ConfigError("regeneration pair needs finite a < b")
+        if not self.blowup_guard > 0:
+            raise ConfigError("blowup_guard must be positive")
         if self.crossing not in CROSSING_RULES:
             raise ConfigError(f"crossing must be one of {CROSSING_RULES}")
         if isinstance(self.initial, (int, float)):

@@ -96,8 +96,9 @@ def test_section_names_are_case_insensitive(tmp_path):
     ("step = 5e-3", "step = fast", ("[sim] step", "'fast'")),
     ("replicas = 2400", "replicas = 2.4e3", ("[sim] replicas", "'2.4e3'")),
     ("target = 0.0", "target = zero", ("[experiment] target", "'zero'")),
-    ("model = ou(1.0)", "model = ou(1.0)\nprobe_limit = far",
-     ("[diffusion] probe_limit", "'far'")),
+    # probe_limit was dropped: the recurrence verdict reads tail powers
+    ("model = ou(1.0)", "model = ou(1.0)\nprobe_limit = 1e6",
+     ("[diffusion] unknown key(s): probe_limit",)),
     ("model = ou(1.0)", "model = ou(one)", ("ou(one)", "'one'")),
     ("f = indicator(-0.5, 0.5)", "f = indicator(lo, 0.5)",
      ("indicator(lo, 0.5)", "'lo'")),
@@ -114,10 +115,19 @@ def test_section_names_are_case_insensitive(tmp_path):
     (LAST, LAST + "\n[assumptions]\nm0 = 10\n"
      "sigma0 = -1\ngamma = 0\nr = 1", ("[assumptions]", "sigma0")),
     (LAST, LAST + "\n[assumptions]\nm0 = 10\n"
-     "sigma1 = 1\ndelta = 0\nr_cap = 0", ("[assumptions]", "r_cap"))],
+     "sigma1 = 1\ndelta = 0\nr_cap = 0", ("[assumptions]", "r_cap")),
+    ("horizon = 20", "horizon = inf", ("horizon must be finite",)),
+    ("horizon = 20", "horizon = nan", ("horizon must be finite",)),
+    ("step = 5e-3", "step = nan", ("step must be positive",)),
+    ("initial = point(0.0)", "initial = point(nan)", ("point law",)),
+    ("initial = point(0.0)", "initial = gaussian(0, nan)",
+     ("gaussian law",)),
+    ("initial = point(0.0)", "initial = uniform(0, inf)", ("uniform law",))],
     ids=["orders", "step", "replicas", "target", "probe_limit", "model",
          "indicator", "side", "negative-orders", "negative-tol", "zero-tol",
-         "nan-tol", "m0", "nan-m0", "sigma0", "r_cap"])
+         "nan-tol", "m0", "nan-m0", "sigma0", "r_cap", "inf-horizon",
+         "nan-horizon", "nan-step", "nan-point", "nan-gaussian-sd",
+         "inf-uniform"])
 def test_bad_value_is_a_config_error(tmp_path, capsys, old, new, names):
     text = FULL.format(out=tmp_path / "o").replace(old, new)
     assert main(["moments", "--config", _write(tmp_path, text)]) == 1

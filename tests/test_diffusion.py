@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as sci
+from scipy.special import gamma
 
 from ergodiff.diffusion import (AssumptionParams, DiffusionModel,
                                 bounded_drift, brownian, ou)
-from ergodiff.errors import DomainError, NotPositiveRecurrentError
+from ergodiff.errors import (DomainError, InconclusiveError,
+                             NotPositiveRecurrentError)
+from ergodiff.gridfn import TAIL_BAND
 
 
 def test_scale_density_trivial():
@@ -72,6 +75,42 @@ def test_classification_trichotomy():
     outward = DiffusionModel(lambda x: x, lambda x: np.ones_like(x),
                              label="outward")
     assert outward.classify_recurrence().classification == "transient"
+
+
+def test_bounded_drift_recurrence_sweep():
+    # s ~ |x|^(2 theta) and m = 2 (1+x^2)^-theta: positive recurrent iff
+    # theta > 1/2, with mass 2 sqrt(pi) Gamma(theta-1/2)/Gamma(theta); the
+    # m tails have power -2 theta, inconclusive within the band around -1
+    for theta in np.round(np.arange(0.3, 3.0001, 0.05), 2):
+        model = bounded_drift(theta)
+        if abs(1.0 - 2.0 * theta) < TAIL_BAND:
+            with pytest.raises(InconclusiveError):
+                model.classify_recurrence()
+            continue
+        rep = model.classify_recurrence()
+        assert rep.tail_powers == pytest.approx(
+            [2 * theta, 2 * theta, -2 * theta, -2 * theta], abs=1e-9), theta
+        if theta > 0.5:
+            mass = 2 * math.sqrt(math.pi) * gamma(theta - 0.5) / gamma(theta)
+            assert rep.classification == "positive_recurrent", theta
+            assert rep.speed_mass == pytest.approx(mass, rel=1e-10), theta
+        else:
+            assert rep.classification == "null_recurrent", theta
+            assert rep.speed_mass == math.inf
+
+
+def test_superexponential_drift_classifies_without_overflow():
+    # beta = -sinh(x): log s = 2 (cosh x - 1) passes +700 near x = 7, so the
+    # s tails stop early; the coefficients are never asked for near x = 1e12,
+    # where sinh overflows
+    model = DiffusionModel(lambda x: -np.sinh(x), lambda x: np.ones_like(x))
+    with np.errstate(all="raise"):
+        rep = model.classify_recurrence()
+    mass, _ = sci.quad(lambda y: 4 * math.exp(-2 * (math.cosh(y) - 1)),
+                       0.0, 50.0, epsabs=1e-14)
+    assert rep.classification == "positive_recurrent"
+    assert rep.tail_powers == (math.inf, math.inf, -math.inf, -math.inf)
+    assert rep.speed_mass == pytest.approx(mass, rel=1e-12)
 
 
 def test_classification_anchor_invariant():

@@ -222,6 +222,30 @@ def test_tail_fit_matches_growth_exponent():
     assert fits[1] == pytest.approx(2.0, abs=0.3)
 
 
+def test_hitting_bounded_drift_06_matches_betainc_oracle():
+    # m = 2(1+y^2)^-0.6 leaves about a fifth of the tail mass beyond any
+    # probe of 1e6; E_x T_1 = 2 int_1^x (1+z^2)^0.6 B_z dz with
+    # B_z = int_z^inf (1+y^2)^-0.6 = betainc(0.1, 0.5, 0, 1/(1+z^2)) / 2
+    # (mpmath, 30 digits)
+    tbl = hitting_moment_table(bounded_drift(0.6), 1.0, "from_above",
+                               [2.0, 3.0, 5.0], 1)
+    oracle = [18.399050188940141, 45.527566872561364, 128.26932167293524]
+    assert tbl.order(1) == pytest.approx(oracle, rel=1e-8)
+
+
+def test_hitting_bounded_drift_1_closed_form():
+    # E_x T_12 = 2 [F(x) - F(12)], F(z) = (z + z^3/3) arccot z + z^2/6
+    # + ln(1+z^2)/3
+    def F(z):
+        return (z + z ** 3 / 3) * math.atan(1 / z) + z * z / 6 \
+            + math.log1p(z * z) / 3
+
+    xs = [30.0, 60.0, 100.0]
+    tbl = hitting_moment_table(bounded_drift(1.0), 12.0, "from_above", xs, 1)
+    exact = [2 * (F(x) - F(12.0)) for x in xs]
+    assert tbl.order(1) == pytest.approx(exact, rel=1e-12)
+
+
 def test_csv_roundtrip(tmp_path, ou1):
     xs = np.array([0.5, 1.0, 1.5])
     tbl = hitting_moment_table(ou1, 0.0, "from_above", xs, 1)
@@ -334,7 +358,9 @@ def test_pchip_matches_scipy_bit_for_bit(name):
 # Tables recorded with the separate exit and hitting recursions that the
 # shared one replaced (x86-64, NumPy 2.4.6, SciPy 1.17.1).  Both build the
 # same floating-point operations, so each table must come back bit for bit:
-# (table, values, tail_fits, model_hash).
+# (table, values, tail_fits, model_hash).  The two bounded_drift tables were
+# re-recorded when the ray tail moved to gridfn.tail; each moved toward its
+# exact value (bounded_drift(0.75) at x = 2: 7.5052103772961194).
 _INF = math.inf
 _PINNED = {
     "ou_from_above": (
@@ -346,7 +372,7 @@ _PINNED = {
          [1.1986292174046465, 2.2871153468249465, 3.256714579765398,
           4.124017880436643]],
         ((0, 1.0, 0.0), (1, 1.3234967378236004, 0.39749064489898916)),
-        "6a7a4052830d"),
+        "fe717893c257"),
     "ou_from_below": (
         lambda: hitting_moment_table(ou(1.0), 1.0, "from_below",
                                      [-0.5, 0.0, 0.5], 2),
@@ -354,24 +380,24 @@ _PINNED = {
          [4.731392761083179, 4.0377283329551865, 2.79946377807497],
          [40.673896982413424, 33.87361084641477, 22.721550508911953]],
         ((0, 1.0, 0.0), (1, 3.378560516944399, 0.3300785576448281)),
-        "6a7a4052830d"),
+        "fe717893c257"),
     "bounded_drift_0.75": (
         lambda: hitting_moment_table(bounded_drift(0.75), 1.0, "from_above",
                                      [2.0, 3.0, 5.0], 3),
         [[1.0, 1.0, 1.0],
-         [7.505210377348119, 18.44407158615475, 51.65172153265408],
+         [7.505210377296146, 18.444071586008633, 51.65172153215015],
          [_INF, _INF, _INF],
          [_INF, _INF, _INF]],
-        ((0, 1.0, 0.0), (1, 2.1165513623647687, 1.9834424045468266)),
-        "cf6c3cbea4ef"),
+        ((0, 1.0, 0.0), (1, 2.116551362365941, 1.9834424045403047)),
+        "c7ee6cbe8020"),
     "bounded_drift_1": (
         lambda: hitting_moment_table(bounded_drift(1.0), 12.0, "from_above",
                                      [30.0, 60.0, 100.0], 2),
         [[1.0, 1.0, 1.0],
-         [757.2209445377975, 3458.145029705476, 9858.826106856097],
+         [757.2209445371275, 3458.1450296998028, 9858.826106829676],
          [_INF, _INF, _INF]],
-        ((0, 1.0, 0.0), (1, 0.9348218674604432, 2.0111814233909024)),
-        "f7031919c667"),
+        ((0, 1.0, 0.0), (1, 0.9348218674847906, 2.0111814233846803)),
+        "114b4b76d94b"),
     "ou_exit": (
         lambda: exit_moment_table(ou(1.0), -1.0, 1.0,
                                   [-1.0, -0.25, 0.5, 1.0], 2),
@@ -379,14 +405,14 @@ _PINNED = {
          [0.0, 1.3814215347623053, 1.1729455500122272, 0.0],
          [0.0, 3.4843198087453264, 2.9034468904122495, 0.0]],
         (),
-        "6a7a4052830d"),
+        "fe717893c257"),
     "brownian_exit": (
         lambda: exit_moment_table(brownian(), 0.0, 1.0, [0.25, 0.5, 0.75], 2),
         [[1.0, 1.0, 1.0],
          [0.1874999999999996, 0.2499999999999991, 0.1874999999999992],
          [0.07421874997860202, 0.10416666649824119, 0.07421874997860195]],
         (),
-        "9a01217dbbbd"),
+        "2065ea4d7a55"),
 }
 
 

@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate as sci
 
 from ergodiff.errors import DomainError, EvaluationError, NonConvergenceError
-from ergodiff.quadrature import (QuadratureConfig, integrate_finite,
-                                 integrate_semi_infinite)
+from ergodiff.gridfn import DIVERGENT, FINITE, INCONCLUSIVE, tail
+from ergodiff.quadrature import QuadratureConfig, integrate_finite
 
 
 def test_polynomial():
@@ -49,43 +49,75 @@ def test_budget_exhaustion():
         integrate_finite(lambda x: np.exp(np.sin(17 * x) * 5), 0.0, 10.0, cfg)
 
 
+# Rays go through gridfn.tail, which takes the log of the integrand.
+
 def test_exponential_ray():
-    res = integrate_semi_infinite(lambda x: np.exp(-x), 0.0, math.inf)
-    assert res.converged and not res.diverged
+    res = tail(lambda x: -x, 0.0, 1)
+    assert res.verdict == FINITE
     assert abs(res.value - 1.0) < 1e-9
 
 
 def test_gaussian_two_rays():
-    right = integrate_semi_infinite(lambda x: 2 * np.exp(-x ** 2), 0.0, math.inf)
-    left = integrate_semi_infinite(lambda x: 2 * np.exp(-x ** 2), 0.0, -math.inf)
-    total = right.value + left.value
+    log_g = lambda x: math.log(2.0) - x ** 2
+    total = tail(log_g, 0.0, 1).value + tail(log_g, 0.0, -1).value
     assert abs(total - 2 * math.sqrt(math.pi)) < 1e-8
 
 
-def test_harmonic_tail_divergent():
-    res = integrate_semi_infinite(lambda x: 1.0 / x, 1.0, math.inf)
-    assert res.diverged and res.value == math.inf
+def test_harmonic_tail_inconclusive():
+    # 1/x has endpoint power exactly -1: neither integrable nor not, to a
+    # test that reads the power
+    res = tail(lambda x: -np.log(x), 1.0, 1)
+    assert res.verdict == INCONCLUSIVE and math.isnan(res.value)
+    assert res.power == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_constant_divergent_by_growth():
-    res = integrate_semi_infinite(lambda x: np.full_like(x, 2.0), 0.0, math.inf)
-    assert res.diverged
+    res = tail(lambda x: np.full_like(x, math.log(2.0)), 0.0, 1)
+    assert res.verdict == DIVERGENT and res.value == math.inf
+    assert res.power == 0.0
 
 
 def test_fast_blowup_divergent_by_cap():
-    res = integrate_semi_infinite(lambda x: np.exp(x), 0.0, math.inf)
-    assert res.diverged and res.value == math.inf
+    # log g passes +700: the grid stops there and the integral is +inf
+    res = tail(lambda x: x, 0.0, 1)
+    assert res.verdict == DIVERGENT and res.value == math.inf
+    assert res.power == math.inf
 
 
 def test_left_ray_matches_reflection():
-    res = integrate_semi_infinite(lambda x: np.exp(x), 0.0, -math.inf)
+    res = tail(lambda x: x, 0.0, -1)
+    assert res.verdict == FINITE and res.power == -math.inf
     assert abs(res.value - 1.0) < 1e-9
 
 
-def test_max_range_unresolved():
-    with pytest.raises(NonConvergenceError):
-        integrate_semi_infinite(lambda x: np.full_like(x, 2.0), 0.0, math.inf,
-                                max_range=10.0)
+def test_slow_tail_unresolved():
+    # x^-1.03 is integrable, but its power lies within the band around -1
+    res = tail(lambda x: -1.03 * np.log(x), 1.0, 1)
+    assert res.verdict == INCONCLUSIVE
+    assert res.power == pytest.approx(-1.03, abs=1e-9)
+
+
+def test_power_tail_remainder():
+    # int_1^inf x^-1.2 = 5: a fifth of it lies beyond the grid's reach
+    res = tail(lambda x: -1.2 * np.log(x), 1.0, 1)
+    assert res.verdict == FINITE
+    assert res.value == pytest.approx(5.0, rel=1e-12)
+    assert abs(res.value - 5.0) <= res.error_estimate
+
+
+def test_tail_log_zero_and_overflow_do_not_warn():
+    # g underflows to 0 (log g = -inf) and exp(log g) would overflow
+    # between nodes; neither may warn
+    with np.errstate(all="raise"):
+        res = tail(lambda x: np.where(x > 3.0, -np.inf, 0.0), 0.0, 1)
+        assert res.verdict == FINITE and res.power == -math.inf
+        with pytest.raises(EvaluationError):
+            tail(lambda x: np.where((x > 1.2) & (x < 1.8), 800.0, -x), 0.0, 1)
+
+
+def test_tail_direction_rejected():
+    with pytest.raises(DomainError):
+        tail(lambda x: -x, 0.0, 0)
 
 
 def test_linearity_on_random_polynomials():
@@ -122,7 +154,7 @@ def test_interval_additivity():
 def test_substitution_correctness():
     # the ray result must match the finite integral of the hand-substituted
     # integrand u = t/(1-t), du = dt/(1-t)^2
-    ray = integrate_semi_infinite(lambda x: np.exp(-x), 0.0, math.inf)
+    ray = tail(lambda x: -x, 0.0, 1)
 
     def transformed(t):
         t = np.asarray(t)
