@@ -19,7 +19,7 @@ import numpy as np
 from .diffusion import AssumptionParams
 from .errors import (DomainError, InconsistentParamsError, MissingMomentsError,
                      RangeError)
-from .gridfn import FINITE, tail
+from .gridfn import tail
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_finite
 
 __all__ = [
@@ -55,7 +55,7 @@ def tail_power_integral(p: float, q: float, x: float, a: float,
         raise DomainError("need 0 <= p < q - 1 (integral diverges otherwise)")
     res = tail(lambda t: p * np.log(t - a) - q * np.log(t), x, 1, x,
                cfg.rel_tol, cfg.abs_tol)
-    if res.verdict != FINITE:
+    if not math.isfinite(res.value):
         raise RangeError(f"tail power {res.power:.4g} too close to -1 to "
                          "integrate")
     lower = (x - a) ** (p + 1) / ((q - p - 1) * x ** q)

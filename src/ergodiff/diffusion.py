@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import (DomainError, InconclusiveError, NotPositiveRecurrentError,
                      NumericalBlowupError)
-from .gridfn import (DIVERGENT, FINITE, INCONCLUSIVE, TAIL_BAND,
-                     Antiderivative, tail)
+from .gridfn import TAIL_BAND, Antiderivative, tail
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, integrate_finite,
                          vectorize_integrand)
 
@@ -217,8 +216,8 @@ class DiffusionModel:
 
         Recurrent when S is unbounded on both sides, positive recurrent when
         m also has finite mass.  Each tail is judged by its endpoint power
-        (``gridfn.tail``); a verdict that needs a tail whose power lies
-        within TAIL_BAND of -1 raises InconclusiveError.
+        (``gridfn.tail``); a verdict that needs an inconclusive tail raises
+        InconclusiveError.
         """
         if self._recurrence is not None:
             return self._recurrence
@@ -226,17 +225,20 @@ class DiffusionModel:
         tails = [tail(fn, self.anchor, side, 1.0, self.quad.rel_tol,
                       self.quad.abs_tol)
                  for fn in (log_s, self.log_speed_density) for side in (1, -1)]
-        verdicts = [t.verdict for t in tails]
-        if FINITE in verdicts[:2]:
+        values = [t.value for t in tails]
+        unknown = [math.isnan(v) for v in values]
+        if math.isfinite(values[0]) or math.isfinite(values[1]):
             cls = TRANSIENT
-        elif DIVERGENT in verdicts[2:] and INCONCLUSIVE not in verdicts[:2]:
+        elif math.inf in values[2:] and not any(unknown[:2]):
             cls = NULL_RECURRENT
-        elif INCONCLUSIVE in verdicts:
-            i = verdicts.index(INCONCLUSIVE)
+        elif any(unknown):
+            i = unknown.index(True)
+            p = tails[i].power
+            why = (f"endpoint power {p:.4g} within {TAIL_BAND:g} of -1"
+                   if abs(p + 1.0) < TAIL_BAND else "beyond the float range")
             raise InconclusiveError(
                 f"{self.label}: the {('right', 'left')[i % 2]} tail of "
-                f"{'sm'[i // 2]} has endpoint power {tails[i].power:.4g}, "
-                f"within {TAIL_BAND:g} of -1")
+                f"{'sm'[i // 2]} is inconclusive ({why})")
         else:
             cls = POSITIVE_RECURRENT
         mass = tails[2].value + tails[3].value if cls == POSITIVE_RECURRENT \
@@ -268,25 +270,32 @@ class DiffusionModel:
         checks = []
         lower_ok = upper_ok = None
 
-        s2 = ratio = grid  # empty: every check fails
         if grid.size:
             s2 = self.sigma_sq(grid)
+            abs_sigma = np.sqrt(s2)
             ratio = -grid * self._drift(grid) / s2
-        abs_sigma = np.sqrt(s2)
-
-        def pair(names, sigma_slack, ratio_slack):
-            checks.extend([_worst(names[0], grid, sigma_slack),
-                           _worst(names[1], grid, ratio_slack)])
-            return checks[-2].passed and checks[-1].passed
-
         if params.has_lower:
-            lower_ok = pair(("sigma_lower", "drift_ratio_lower"),
-                            abs_sigma - params.sigma0 * np.abs(grid) ** params.gamma,
-                            ratio - params.r)
+            if grid.size == 0:
+                checks.append(InequalityCheck("sigma_lower", False, math.nan, -math.inf))
+                checks.append(InequalityCheck("drift_ratio_lower", False, math.nan, -math.inf))
+                lower_ok = False
+            else:
+                slack = abs_sigma - params.sigma0 * np.abs(grid) ** params.gamma
+                checks.append(_worst("sigma_lower", grid, slack))
+                slack = ratio - params.r
+                checks.append(_worst("drift_ratio_lower", grid, slack))
+                lower_ok = checks[-2].passed and checks[-1].passed
         if params.has_upper:
-            upper_ok = pair(("sigma_upper", "drift_ratio_upper"),
-                            params.sigma1 * np.abs(grid) ** params.delta - abs_sigma,
-                            np.minimum(params.r_cap - ratio, ratio))  # 0 < ratio <= R
+            if grid.size == 0:
+                checks.append(InequalityCheck("sigma_upper", False, math.nan, -math.inf))
+                checks.append(InequalityCheck("drift_ratio_upper", False, math.nan, -math.inf))
+                upper_ok = False
+            else:
+                slack = params.sigma1 * np.abs(grid) ** params.delta - abs_sigma
+                checks.append(_worst("sigma_upper", grid, slack))
+                slack = np.minimum(params.r_cap - ratio, ratio)  # 0 < ratio <= R
+                checks.append(_worst("drift_ratio_upper", grid, slack))
+                upper_ok = checks[-2].passed and checks[-1].passed
 
         bracket = None
         if params.has_lower and params.has_upper:
@@ -317,8 +326,6 @@ def _check_positive(xs: np.ndarray, s2: np.ndarray) -> None:
 
 
 def _worst(name: str, grid: np.ndarray, slack: np.ndarray) -> InequalityCheck:
-    if grid.size == 0:
-        return InequalityCheck(name, False, math.nan, -math.inf)
     i = int(np.argmin(slack))
     # tiny negative slack from roundoff still counts as satisfied
     tol = 1e-12 * (1.0 + float(np.max(np.abs(slack))))

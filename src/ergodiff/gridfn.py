@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,10 +87,10 @@ def _panel_integrals(fv, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
     return levels[0]
 
 
-FINITE, DIVERGENT, INCONCLUSIVE = "finite", "+inf", "inconclusive"
 # A tail's grid: distances 0 and unit * 2^j from its start, out to about 1e12
-# units, evaluated a chunk of nodes at a time; it stops where log g leaves
-# +-_LOG_LIMIT.  Endpoint powers within TAIL_BAND of -1 decide nothing.
+# units, where log g is read a chunk of nodes at a time.  g is out of the
+# float range where |log g| > _LOG_LIMIT.  Endpoint powers within TAIL_BAND
+# of -1 decide nothing.
 _TAIL_Y = 2.0 ** np.arange(41)
 _TAIL_CHUNK = 8
 _LOG_LIMIT = 700.0
@@ -99,56 +100,68 @@ TAIL_BAND = 0.05
 @dataclass(frozen=True)
 class Tail:
     """A ray integral (+inf if divergent, NaN if inconclusive), its error
-    estimate, the endpoint power p (g ~ y^p at the end of the grid) and the
-    verdict."""
+    estimate and the endpoint power p (g ~ y^p at the end of the grid)."""
 
     value: float
     error_estimate: float
     power: float
-    verdict: str
 
 
 def tail(log_g: Callable[[np.ndarray], np.ndarray], start: float,
-         direction: int, unit: float = 1.0, rel_tol: float = 1e-10,
-         abs_tol: float = 1e-13) -> Tail:
+         direction: int, unit: float, rel_tol: float, abs_tol: float) -> Tail:
     """Integral of g = exp(log_g) over [start, inf) (``direction`` +1) or
-    (-inf, start] (-1), with its verdict.
+    (-inf, start] (-1).
 
     One GK15 panel per gap of the grid (bisected where its error check
     fails), summed from the top, plus the remainder g(L) y_L / (-p-1) beyond
     the last node L, where y is the distance from ``start`` and the endpoint
     power p is read from log g at the last two nodes.  p >= -1 + TAIL_BAND
-    is +inf and |p + 1| < TAIL_BAND inconclusive.  Where log g drops below
-    -700 the integrand is taken to vanish from there on (p = -inf); where it
-    exceeds +700 the integral is +inf (p = +inf).  ``log_g`` must accept
-    ndarrays; it is never evaluated at ``start`` itself.
+    is +inf and |p + 1| < TAIL_BAND inconclusive.  log g is read out to the
+    last node, or, once out of the float range, as far as it can be
+    evaluated.  If it ends above +700 the integral is +inf (p = +inf); if it
+    ends below -700, g vanishes from where it last dropped there (p = -inf);
+    if it passes +700 and then falls back, the integral is too large to hold
+    and is reported inconclusive.  ``log_g`` must accept ndarrays; it is
+    never evaluated at ``start`` itself.
     """
     if direction not in (1, -1):
         raise DomainError("direction must be +1 or -1")
     ys = unit * _TAIL_Y
     lg = np.empty(0)
     for chunk in np.split(ys, range(_TAIL_CHUNK, ys.size, _TAIL_CHUNK)):
-        lg = np.concatenate([lg, log_g(start + direction * chunk)])
-        if not np.all(np.abs(lg) <= _LOG_LIMIT):  # NaN too
-            break
-    if np.isnan(lg).any():
-        raise EvaluationError(f"log integrand is NaN on the ray from {start!r}")
-    out = np.nonzero(np.abs(lg) > _LOG_LIMIT)[0]
-    if out.size and lg[out[0]] > 0:
-        return Tail(math.inf, math.inf, math.inf, DIVERGENT)
-    if out.size:  # g has vanished: the grid ends at that node
-        ys = ys[:out[0] + 1]
+        # past the float range, a log g that cannot be evaluated further
+        # out (its coefficients overflow) is taken to stay out of range
+        out = lg.size > 0 and abs(lg[-1]) > _LOG_LIMIT
+        try:
+            with np.errstate(all="ignore") if out else nullcontext():
+                part = np.asarray(log_g(start + direction * chunk), dtype=float)
+        except EvaluationError:
+            if out:
+                break
+            raise
+        if np.isnan(part).any():
+            if out:
+                break
+            raise EvaluationError(f"log integrand is NaN on the ray from {start!r}")
+        lg = np.concatenate([lg, part])
+    ys = ys[:lg.size]
+    high, low = lg > _LOG_LIMIT, lg < -_LOG_LIMIT
+    if high[-1]:
+        return Tail(math.inf, math.inf, math.inf)
+    if low[-1]:  # g has vanished: the grid ends where it last dropped out
+        last_in = np.flatnonzero(~low)
+        ys = ys[:last_in[-1] + 2 if last_in.size else 1]
         p, remainder, err = -math.inf, 0.0, 0.0
     else:
         p = float(lg[-1] - lg[-2]) / math.log(2.0)
         if p >= -1.0 + TAIL_BAND:
-            return Tail(math.inf, math.inf, p, DIVERGENT)
-        if p > -1.0 - TAIL_BAND:
-            return Tail(math.nan, math.nan, p, INCONCLUSIVE)
+            return Tail(math.inf, math.inf, p)
         remainder = math.exp(lg[-1]) * float(ys[-1]) / (-p - 1.0)
         # how much the remainder moves with p over the last two gaps
         p_prev = float(lg[-2] - lg[-3]) / math.log(2.0)
         err = abs(remainder * (p - p_prev) / (p + 1.0))
+    if high.any() or abs(p + 1.0) < TAIL_BAND:
+        return Tail(math.nan, math.nan, p)
 
     def g(y):
         xs = start + direction * y
@@ -160,7 +173,7 @@ def tail(log_g: Callable[[np.ndarray], np.ndarray], start: float,
     panels = _panel_integrals(g, np.r_[0.0, ys[:-1]], ys, rel_tol, abs_tol)
     value = float(np.cumsum(np.r_[remainder, panels[::-1]])[-1])
     err += float(np.maximum(abs_tol, rel_tol * np.abs(panels)).sum())
-    return Tail(value, err, p, FINITE)
+    return Tail(value, err, p)
 
 
 def _finite_fn(f: Callable) -> Callable[[np.ndarray], np.ndarray]:

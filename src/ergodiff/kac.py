@@ -41,7 +41,7 @@ import numpy as np
 from .diffusion import DiffusionModel
 from .errors import (DomainError, InconclusiveError, InterpolationError,
                      NotPositiveRecurrentError)
-from .gridfn import DIVERGENT, INCONCLUSIVE, cumulative_panels, tail
+from .gridfn import cumulative_panels, tail
 from .quadrature import QuadratureConfig, integrate_finite, vectorize_integrand
 
 __all__ = [
@@ -382,11 +382,11 @@ def _curves(quad: QuadratureConfig, S: Callable, m: Callable,
             log_c = math.log(c_fit)
             far = tail(lambda t: log_c + kappa * np.log(t) + log_m(t),
                        grid[-1], 1, 1.0, quad.rel_tol, quad.abs_tol)
-            if far.verdict == INCONCLUSIVE:
+            if math.isnan(far.value):
                 raise InconclusiveError(
-                    f"order-{k} tail beyond x={grid[-1]:g} has endpoint "
-                    f"power {far.power:.4g}, too close to -1 to judge")
-            if far.verdict == DIVERGENT:
+                    f"order-{k} tail beyond x={grid[-1]:g} is inconclusive "
+                    f"(endpoint power {far.power:.4g})")
+            if far.value == math.inf:
                 break
         P = cumulative_panels(wp, grid, quad.rel_tol, quad.abs_tol)
         Qc = cumulative_panels(wq, grid, quad.rel_tol, quad.abs_tol)

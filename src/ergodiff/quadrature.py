@@ -3,7 +3,8 @@
 A nested Gauss(7)/Kronrod(15) pair on each panel, with the panel error taken
 as the difference of the two rules; the panel with the worst error is
 bisected until the summed error meets tolerance.  Rays are integrated by
-``gridfn.tail``, which reuses these rules.
+``gridfn.tail``, which reuses these rules (``integrate_semi_infinite`` is a
+thin wrapper over it).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "QuadratureConfig",
     "QuadratureResult",
     "integrate_finite",
+    "integrate_semi_infinite",
     "vectorize_integrand",
 ]
 
@@ -174,3 +176,23 @@ def integrate_finite(f: Callable, a: float, b: float,
             f"error {total_e + stuck_e:.3g} stuck above tolerance at "
             "floating-point panel resolution")
     return QuadratureResult(total_v, total_e + stuck_e, used, True)
+
+
+def integrate_semi_infinite(f: Callable, a: float, direction: float,
+                            cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+    """Integral of f >= 0 over [a, +inf) or (-inf, a] (``direction`` +-inf)
+    by ``gridfn.tail`` on log f: +inf if divergent, NaN if inconclusive.
+
+    Superseded by ``gridfn.tail``; kept while perfbench's tracer still hooks
+    this name (ROADMAP item 13).
+    """
+    from .gridfn import tail  # gridfn imports this module
+
+    fv = vectorize_integrand(f)
+
+    def log_f(xs):
+        with np.errstate(divide="ignore"):
+            return np.log(fv(xs))
+    res = tail(log_f, a, {np.inf: 1, -np.inf: -1}.get(direction, 0), 1.0,
+               cfg.rel_tol, cfg.abs_tol)
+    return QuadratureResult(res.value, res.error_estimate, 0, True)

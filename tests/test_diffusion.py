@@ -100,9 +100,9 @@ def test_bounded_drift_recurrence_sweep():
 
 
 def test_superexponential_drift_classifies_without_overflow():
-    # beta = -sinh(x): log s = 2 (cosh x - 1) passes +700 near x = 7, so the
-    # s tails stop early; the coefficients are never asked for near x = 1e12,
-    # where sinh overflows
+    # beta = -sinh(x): log s = 2 (cosh x - 1) passes +700 near x = 7; sinh
+    # overflows long before x = 1e12, so the tails end where the coefficients
+    # can no longer be evaluated, with log s still out of range
     model = DiffusionModel(lambda x: -np.sinh(x), lambda x: np.ones_like(x))
     with np.errstate(all="raise"):
         rep = model.classify_recurrence()
@@ -119,6 +119,16 @@ def test_classification_anchor_invariant():
         a0 = factory(anchor=0.0).classify_recurrence().classification
         a1 = factory(anchor=1.7).classify_recurrence().classification
         assert a0 == a1
+    # anchored at 30, OU's log s = x^2 - 900 dips below -700 on the way left
+    # and rises again, and its mass 2 sqrt(pi) e^900 exceeds the float range
+    for anchor in (26.0, 27.0, 30.0):
+        try:
+            rep = ou(1.0, anchor=anchor).classify_recurrence()
+        except InconclusiveError:
+            continue
+        assert rep.classification == "positive_recurrent", anchor
+        assert rep.speed_mass == pytest.approx(
+            2 * math.sqrt(math.pi) * math.exp(anchor ** 2), rel=1e-8), anchor
 
 
 def test_invariant_density_gaussian():

@@ -5,8 +5,11 @@ import pytest
 from scipy import integrate as sci
 
 from ergodiff.errors import DomainError, EvaluationError, NonConvergenceError
-from ergodiff.gridfn import DIVERGENT, FINITE, INCONCLUSIVE, tail
-from ergodiff.quadrature import QuadratureConfig, integrate_finite
+from ergodiff.gridfn import tail
+from ergodiff.quadrature import (QuadratureConfig, integrate_finite,
+                                 integrate_semi_infinite)
+
+TOL = (1e-10, 1e-13)  # rel_tol, abs_tol of the ray integrals
 
 
 def test_polynomial():
@@ -52,55 +55,54 @@ def test_budget_exhaustion():
 # Rays go through gridfn.tail, which takes the log of the integrand.
 
 def test_exponential_ray():
-    res = tail(lambda x: -x, 0.0, 1)
-    assert res.verdict == FINITE
+    res = tail(lambda x: -x, 0.0, 1, 1.0, *TOL)
     assert abs(res.value - 1.0) < 1e-9
 
 
 def test_gaussian_two_rays():
     log_g = lambda x: math.log(2.0) - x ** 2
-    total = tail(log_g, 0.0, 1).value + tail(log_g, 0.0, -1).value
+    total = (tail(log_g, 0.0, 1, 1.0, *TOL).value
+             + tail(log_g, 0.0, -1, 1.0, *TOL).value)
     assert abs(total - 2 * math.sqrt(math.pi)) < 1e-8
 
 
 def test_harmonic_tail_inconclusive():
     # 1/x has endpoint power exactly -1: neither integrable nor not, to a
     # test that reads the power
-    res = tail(lambda x: -np.log(x), 1.0, 1)
-    assert res.verdict == INCONCLUSIVE and math.isnan(res.value)
+    res = tail(lambda x: -np.log(x), 1.0, 1, 1.0, *TOL)
+    assert math.isnan(res.value)
     assert res.power == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_constant_divergent_by_growth():
-    res = tail(lambda x: np.full_like(x, math.log(2.0)), 0.0, 1)
-    assert res.verdict == DIVERGENT and res.value == math.inf
+    res = tail(lambda x: np.full_like(x, math.log(2.0)), 0.0, 1, 1.0, *TOL)
+    assert res.value == math.inf
     assert res.power == 0.0
 
 
 def test_fast_blowup_divergent_by_cap():
-    # log g passes +700: the grid stops there and the integral is +inf
-    res = tail(lambda x: x, 0.0, 1)
-    assert res.verdict == DIVERGENT and res.value == math.inf
+    # log g ends above +700: the integral is +inf
+    res = tail(lambda x: x, 0.0, 1, 1.0, *TOL)
+    assert res.value == math.inf
     assert res.power == math.inf
 
 
 def test_left_ray_matches_reflection():
-    res = tail(lambda x: x, 0.0, -1)
-    assert res.verdict == FINITE and res.power == -math.inf
+    res = tail(lambda x: x, 0.0, -1, 1.0, *TOL)
+    assert res.power == -math.inf
     assert abs(res.value - 1.0) < 1e-9
 
 
 def test_slow_tail_unresolved():
     # x^-1.03 is integrable, but its power lies within the band around -1
-    res = tail(lambda x: -1.03 * np.log(x), 1.0, 1)
-    assert res.verdict == INCONCLUSIVE
+    res = tail(lambda x: -1.03 * np.log(x), 1.0, 1, 1.0, *TOL)
+    assert math.isnan(res.value)
     assert res.power == pytest.approx(-1.03, abs=1e-9)
 
 
 def test_power_tail_remainder():
     # int_1^inf x^-1.2 = 5: a fifth of it lies beyond the grid's reach
-    res = tail(lambda x: -1.2 * np.log(x), 1.0, 1)
-    assert res.verdict == FINITE
+    res = tail(lambda x: -1.2 * np.log(x), 1.0, 1, 1.0, *TOL)
     assert res.value == pytest.approx(5.0, rel=1e-12)
     assert abs(res.value - 5.0) <= res.error_estimate
 
@@ -109,15 +111,55 @@ def test_tail_log_zero_and_overflow_do_not_warn():
     # g underflows to 0 (log g = -inf) and exp(log g) would overflow
     # between nodes; neither may warn
     with np.errstate(all="raise"):
-        res = tail(lambda x: np.where(x > 3.0, -np.inf, 0.0), 0.0, 1)
-        assert res.verdict == FINITE and res.power == -math.inf
+        res = tail(lambda x: np.where(x > 3.0, -np.inf, 0.0), 0.0, 1, 1.0, *TOL)
+        assert res.value == pytest.approx(3.0) and res.power == -math.inf
         with pytest.raises(EvaluationError):
-            tail(lambda x: np.where((x > 1.2) & (x < 1.8), 800.0, -x), 0.0, 1)
+            tail(lambda x: np.where((x > 1.2) & (x < 1.8), 800.0, -x), 0.0, 1,
+                 1.0, *TOL)
+
+
+def test_tail_dip_below_range_is_not_a_vanished_tail():
+    # log g = y^2 - 60 y falls below -700 at y = 16 and rises again: +inf
+    res = tail(lambda x: x ** 2 - 60.0 * x, 0.0, 1, 1.0, *TOL)
+    assert res.value == math.inf and res.power == math.inf
+    # past +700 and back down: the integral exceeds the float range
+    res = tail(lambda x: 60.0 * x - x ** 2, 0.0, 1, 1.0, *TOL)
+    assert math.isnan(res.value)
+    # the integrable part of a dip before a power tail still counts
+    log_g = lambda x: np.where((x > 20.0) & (x < 40.0), -800.0,
+                               -2.0 * np.log1p(x))
+    res = tail(log_g, 0.0, 1, 1.0, *TOL)
+    assert res.power == pytest.approx(-2.0, abs=1e-9)
+    assert math.isfinite(res.value)
+
+
+def test_tail_stops_where_log_g_cannot_be_evaluated():
+    # past +-700, a log g whose coefficients overflow further out is taken
+    # to stay out of range; inside the range the failure propagates
+    def log_g(x):
+        if np.max(x) > 200.0:
+            raise EvaluationError("coefficient overflow")
+        return -x ** 2
+    assert tail(log_g, 0.0, 1, 1.0, *TOL).value == \
+        pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
+    with pytest.raises(EvaluationError):
+        tail(lambda x: log_g(x) / 1e4, 0.0, 1, 1.0, *TOL)
 
 
 def test_tail_direction_rejected():
     with pytest.raises(DomainError):
-        tail(lambda x: -x, 0.0, 0)
+        tail(lambda x: -x, 0.0, 0, 1.0, *TOL)
+
+
+def test_integrate_semi_infinite_wraps_tail():
+    res = integrate_semi_infinite(lambda x: np.exp(-x), 0.0, math.inf)
+    assert abs(res.value - 1.0) < 1e-8
+    res = integrate_semi_infinite(lambda x: np.exp(x), 0.0, -math.inf)
+    assert abs(res.value - 1.0) < 1e-8
+    assert integrate_semi_infinite(lambda x: np.ones_like(x), 0.0,
+                                   math.inf).value == math.inf
+    with pytest.raises(DomainError):
+        integrate_semi_infinite(lambda x: np.exp(-x), 0.0, 1.0)
 
 
 def test_linearity_on_random_polynomials():
@@ -154,7 +196,7 @@ def test_interval_additivity():
 def test_substitution_correctness():
     # the ray result must match the finite integral of the hand-substituted
     # integrand u = t/(1-t), du = dt/(1-t)^2
-    ray = tail(lambda x: -x, 0.0, 1)
+    ray = tail(lambda x: -x, 0.0, 1, 1.0, *TOL)
 
     def transformed(t):
         t = np.asarray(t)
