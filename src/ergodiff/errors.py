@@ -43,7 +43,8 @@ class NotPositiveRecurrentError(ErgodiffError):
 
 class InconclusiveError(ErgodiffError):
     """A verdict needs a tail whose endpoint power is too close to -1 to
-    tell an integrable tail from a divergent one."""
+    tell an integrable tail from a divergent one, or whose integral is
+    finite but beyond the float range."""
 
 
 class MissingMomentsError(ErgodiffError):
