@@ -117,8 +117,9 @@ class RecurrenceReport:
 class DiffusionModel:
     """Immutable diffusion dX = beta dt + sigma dW with cached scale objects.
 
-    All methods are pure; the panel sums behind B and S are append-only and
-    lock-guarded, so instances can be shared across threads.
+    All methods are pure; the panel sums behind B and S are append-only,
+    and each extension is computed from the panel edges alone, so instances
+    can be shared across threads.
     """
 
     def __init__(self, drift: Callable, diffusion: Callable, label: str = "",

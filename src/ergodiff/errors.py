@@ -16,8 +16,8 @@ class QuadratureFailure(ErgodiffError):
 
 
 class NonConvergenceError(QuadratureFailure):
-    """The subdivision budget was exhausted before the error tolerance was
-    met."""
+    """The error tolerance was not met within the bisection budget or at
+    floating-point panel resolution."""
 
 
 class EvaluationError(QuadratureFailure):

@@ -1,15 +1,16 @@
 """Adaptive one-dimensional quadrature over finite intervals.
 
-A nested Gauss(7)/Kronrod(15) pair on each panel, with the panel error taken
-as the difference of the two rules; the panel with the worst error is
-bisected until the summed error meets tolerance.  Rays are integrated by
-``gridfn.tail``, which reuses these rules (``integrate_semi_infinite`` is a
-thin wrapper over it).
+One engine, ``_panel_integrals``, integrates a batch of gaps at once: a
+nested Gauss(7)/Kronrod(15) pair on each panel, with the panel error taken as
+the difference of the two rules, and every panel that fails its share of the
+gap's tolerance bisected, level by level.  A gap's tolerance is either met or
+the call raises NonConvergenceError.  ``integrate_finite`` is one gap of it;
+``gridfn`` builds its running integrals and ray tails (``gridfn.tail``, which
+``integrate_semi_infinite`` wraps) on it.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,20 +53,14 @@ _GAUSS_W[1::2] = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets shared by every integration call."""
+    """Tolerances shared by every integration call."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_subdivisions: int = 4000
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and self.abs_tol > 0):  # NaN too
             raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-    def tolerance(self, value: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(value))
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -113,21 +108,89 @@ def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
         raise EvaluationError(f"integrand is non-finite near x={bad.flat[0]!r}")
 
 
-def _panel(fv, a: float, b: float) -> tuple[float, float]:
-    """Kronrod value and |Kronrod - Gauss| error estimate on [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    ys = fv(mid + half * _ABSCISSAE)
-    k = half * float(_KRONROD_W @ ys)
-    g = half * float(_GAUSS_W @ ys)
-    return k, abs(k - g)
+# At most _MAX_SPLITS bisections per gap.  The first _BARE_LEVELS levels of
+# bisection cannot exhaust it, so they run with no per-gap bookkeeping.
+_MAX_SPLITS = 4000
+_BARE_LEVELS = (_MAX_SPLITS + 1).bit_length() - 1
+
+
+def _gap_panels(fv, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """One GK15 panel per gap, vectorized across gaps: rows Kronrod value and
+    |Kronrod - Gauss| error.  A non-finite fv raises EvaluationError.
+
+    The weighted sums are elementwise row sums, not a matrix product, whose
+    BLAS kernels round a row differently depending on the batch shape.
+    """
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = mid[:, None] + half[:, None] * _ABSCISSAE[None, :]
+    ys = np.asarray(fv(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    _check_finite(nodes, ys)
+    k = half * (ys * _KRONROD_W).sum(axis=1)
+    g = half * (ys * _GAUSS_W).sum(axis=1)
+    return np.array([k, np.abs(k - g)])
+
+
+def _panel_integrals(fv, lo: np.ndarray, hi: np.ndarray, rel_tol: float,
+                     abs_tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Signed integral of fv over each gap [lo_i, hi_i] (lo_i > hi_i allowed),
+    its summed leaf error, and the number of bisections made.
+
+    Each gap gets one Kronrod panel K and the tolerance
+    max(abs_tol, rel_tol |K|).  Panels failing the embedded error check are
+    bisected (halving their tolerance) level by level, all gaps at once,
+    while wider than floating-point resolution and within _MAX_SPLITS per
+    gap; a split panel's value and error are its children's sums.  A gap
+    whose summed error exceeds its tolerance raises NonConvergenceError.
+    """
+    ke = _gap_panels(fv, lo, hi)
+    gap_tol = tol = np.maximum(abs_tol, rel_tol * np.abs(ke[0]))
+    levels, splits = [ke], []
+    owner = None  # gap of each panel of the level, past _BARE_LEVELS only
+    while True:
+        split = np.nonzero(ke[1] > tol)[0]
+        if len(splits) >= _BARE_LEVELS and split.size:
+            if owner is None:
+                owner, used = np.arange(gap_tol.size), np.zeros(gap_tol.size, dtype=int)
+                for s in splits:
+                    used += np.bincount(owner[s], minlength=used.size)
+                    owner = np.repeat(owner[s], 2)
+            wide = np.abs(hi - lo) > 1e-15 * (np.abs(lo) + np.abs(hi) + 1.0)
+            split = split[wide[split]]
+            # owner is sorted: the first splits of each gap that fit its budget
+            o = owner[split]
+            fits = used[o] + np.arange(o.size) - np.searchsorted(o, o) < _MAX_SPLITS
+            split = split[fits]
+            used += np.bincount(o[fits], minlength=used.size)
+            owner = np.repeat(owner[split], 2)
+        if split.size == 0:
+            break
+        lo, hi = lo[split], hi[split]
+        mid = 0.5 * (lo + hi)
+        lo = np.column_stack([lo, mid]).ravel()
+        hi = np.column_stack([mid, hi]).ravel()
+        tol = np.repeat(0.5 * tol[split], 2)
+        ke = _gap_panels(fv, lo, hi)
+        levels.append(ke)
+        splits.append(split)
+    for depth in range(len(splits) - 1, -1, -1):
+        child = levels[depth + 1]
+        levels[depth][:, splits[depth]] = child[:, 0::2] + child[:, 1::2]
+    value, err = levels[0]
+    if owner is not None and (err > gap_tol).any():
+        i = int(np.argmax(err - gap_tol))
+        raise NonConvergenceError(
+            f"error {err[i]:.3g} above tolerance {gap_tol[i]:.3g} on value "
+            f"{value[i]:.6g} after {used[i]} bisections (budget "
+            f"{_MAX_SPLITS}, or panels at floating-point resolution)")
+    return value, err, sum(s.size for s in splits)
 
 
 def integrate_finite(f: Callable, a: float, b: float,
                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
-    """Integrate f over [a, b] adaptively.
+    """Integrate f over [a, b] adaptively (one gap of ``_panel_integrals``).
 
-    Raises NonConvergenceError if the subdivision budget runs out and
+    Raises NonConvergenceError if the tolerance cannot be met and
     EvaluationError if f returns a non-finite value.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
@@ -136,46 +199,10 @@ def integrate_finite(f: Callable, a: float, b: float,
         raise DomainError(f"interval endpoints out of order: [{a}, {b}]")
     if a == b:
         return QuadratureResult(0.0, 0.0, 0, True)
-
-    fv = vectorize_integrand(f)
-    value, err = _panel(fv, a, b)
-    # heap of (-error, tiebreak, lo, hi, value, error)
-    counter = 0
-    heap = [(-err, counter, a, b, value, err)]
-    total_v = value
-    total_e = err
-    stuck_e = 0.0
-    used = 0
-    width_floor = 1e-15 * (abs(a) + abs(b) + 1.0)
-
-    while heap and total_e + stuck_e > cfg.tolerance(total_v):
-        if used >= cfg.max_subdivisions:
-            raise NonConvergenceError(
-                f"subdivision budget {cfg.max_subdivisions} exhausted "
-                f"(error {total_e + stuck_e:.3g} on value {total_v:.6g})")
-        _, _, lo, hi, pv, pe = heapq.heappop(heap)
-        if hi - lo <= width_floor:
-            # at floating-point resolution; freeze this panel's error
-            stuck_e += pe
-            total_e -= pe
-            continue
-        mid = 0.5 * (lo + hi)
-        lv, le = _panel(fv, lo, mid)
-        rv, re = _panel(fv, mid, hi)
-        used += 1
-        total_v += lv + rv - pv
-        total_e += le + re - pe
-        counter += 1
-        heapq.heappush(heap, (-le, counter, lo, mid, lv, le))
-        counter += 1
-        heapq.heappush(heap, (-re, counter, mid, hi, rv, re))
-
-    if total_e + stuck_e > cfg.tolerance(total_v):
-        # every remaining panel is at floating-point width: unresolvable
-        raise NonConvergenceError(
-            f"error {total_e + stuck_e:.3g} stuck above tolerance at "
-            "floating-point panel resolution")
-    return QuadratureResult(total_v, total_e + stuck_e, used, True)
+    value, err, used = _panel_integrals(
+        vectorize_integrand(f), np.array([a], dtype=float),
+        np.array([b], dtype=float), cfg.rel_tol, cfg.abs_tol)
+    return QuadratureResult(float(value[0]), float(err[0]), used, True)
 
 
 def integrate_semi_infinite(f: Callable, a: float, direction: float,

@@ -397,14 +397,17 @@ def test_cmd_deviation_fails_before_simulating(tmp_path, monkeypatch, change):
 
 # sha256 of each output after its header line (which holds the config hash
 # and version).  The Monte Carlo cells were recorded with separate constants
-# and deviation runs; the c_f row and the l1 bound cells with the exact c_f.
+# and deviation runs; the c_f row and the l1 bound cells with the exact c_f;
+# c_f, mu_f_used and the l1 cells again when integrate_finite moved onto the
+# level-bisection engine (c_f 2.011137599198505, mu_f_used
+# 0.5204998778130457 against erf(0.5) = 0.5204998778130465).
 SHARED_RUN_SHA256 = {
     "constants.csv":
-        "b744ae10cbbd116f6915b5e78fba234954c368f6b6b767a8d4f70ed9eb00898e",
+        "de27f695c7489db00baed1eb46894920e1eeddf9a82900fb54cfdd86693c4178",
     "deviation.csv":
-        "16f6cc20bfb1e8f66f82f4783a7cc3dd0b43360aa789b936c955cd2adf3ce520",
+        "15e56d20c79ac598c98508a1ca9f6efda131cb6b15815cf9db6a7e1970b68c68",
     "deviation_plot.dat":
-        "39bf913952a2251f7f62f1f0851050e308b84e844588b975676e1542e2f8e780",
+        "cf430b4b0fe389277cc4f542c5b999d44cf90f8bcdfae57dca4ec6373c387b90",
 }
 
 
@@ -454,6 +457,20 @@ def test_cmd_deviation_numerical_failure_exit(tmp_path, capsys):
     code = main(["deviation", "--config", _write(tmp_path, text)])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cmd_model_tolerance_miss_is_a_numerical_failure(tmp_path, capsys):
+    # m ~ |x|^(-1/2) at 0: the mass cannot be had to 1e-9 by bisection, and
+    # must not be reported as M=6.49056 (exact 6.490606)
+    text = FULL.format(out=tmp_path / "mp").replace(
+        "model = ou(1.0)", "drift = -x\ndiffusion = abs(x)^0.25")
+    with np.errstate(divide="ignore"):
+        code = main(["model", "--config", _write(tmp_path, text)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err
+    assert "M=" not in captured.out
+    assert not (tmp_path / "mp" / "model_report.txt").exists()
 
 
 def test_selftest_runs(capsys):

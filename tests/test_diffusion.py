@@ -8,7 +8,7 @@ from scipy.special import gamma
 from ergodiff.diffusion import (AssumptionParams, DiffusionModel,
                                 bounded_drift, brownian, ou)
 from ergodiff.errors import (DomainError, InconclusiveError,
-                             NotPositiveRecurrentError)
+                             NonConvergenceError, NotPositiveRecurrentError)
 from ergodiff.gridfn import TAIL_BAND
 
 
@@ -111,6 +111,15 @@ def test_superexponential_drift_classifies_without_overflow():
     assert rep.classification == "positive_recurrent"
     assert rep.tail_powers == (math.inf, math.inf, -math.inf, -math.inf)
     assert rep.speed_mass == pytest.approx(mass, rel=1e-12)
+
+
+def test_speed_mass_with_a_pole_fails_rather_than_misses():
+    # sigma = |x|^(1/4) gives m ~ |x|^(-1/2) at 0: integrable, but not to
+    # 1e-9 by bisection.  The mass (8/3)(3/4)^(1/3) Gamma(1/3) = 6.490606
+    # must not come back as 6.49056
+    model = DiffusionModel(lambda x: -x, lambda x: np.abs(x) ** 0.25)
+    with np.errstate(divide="ignore"), pytest.raises(NonConvergenceError):
+        model.classify_recurrence()
 
 
 def test_classification_anchor_invariant():

@@ -4,9 +4,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ergodiff.errors import DomainError
-from ergodiff.gridfn import (Antiderivative, _gap_panels, _panel_integrals,
-                             cumulative_panels)
+from ergodiff.errors import DomainError, NonConvergenceError
+from ergodiff.gridfn import Antiderivative, cumulative_panels
+from ergodiff.quadrature import _gap_panels, _panel_integrals
 
 
 def test_cumulative_panels_polynomial():
@@ -61,24 +61,41 @@ def test_antiderivative_rejects_non_finite_points():
         F(np.nan)
 
 
-def _recursive_reference(lo, hi, tol, depth=0):
+def _recursive_reference(lo, hi, tol):
+    # split while the panel fails its share of the tolerance and is wider
+    # than floating-point resolution (sqrt stays far inside the budget)
     k, e = _gap_panels(np.sqrt, np.array([lo]), np.array([hi]))
-    if e[0] <= tol or depth >= 24:
-        return k[0]
+    if e[0] <= tol or hi - lo <= 1e-15 * (abs(lo) + abs(hi) + 1.0):
+        return k[0], e[0]
     mid = 0.5 * (lo + hi)
-    return (_recursive_reference(lo, mid, 0.5 * tol, depth + 1)
-            + _recursive_reference(mid, hi, 0.5 * tol, depth + 1))
+    (lv, le), (rv, re) = (_recursive_reference(lo, mid, 0.5 * tol),
+                          _recursive_reference(mid, hi, 0.5 * tol))
+    return lv + rv, le + re
 
 
 def test_level_bisection_matches_recursive_bisection():
     # sqrt has a singular derivative at 0, so the first gap bisects deeply
     lo, hi = np.array([0.0, 0.5, 1.0, 3.0]), np.array([0.5, 1.0, 3.0, 40.0])
-    got = _panel_integrals(np.sqrt, lo, hi, 1e-12, 1e-15)
+    got, err, _ = _panel_integrals(np.sqrt, lo, hi, 1e-12, 1e-15)
     k, _ = _gap_panels(np.sqrt, lo, hi)
     tol = np.maximum(1e-15, 1e-12 * np.abs(k))
     want = [_recursive_reference(a, b, t) for a, b, t in zip(lo, hi, tol)]
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, [v for v, _ in want])
+    assert np.array_equal(err, [e for _, e in want])
+    assert np.all(err <= tol)
     assert np.allclose(got, (hi ** 1.5 - lo ** 1.5) / 1.5, rtol=1e-11)
+
+
+def test_tolerance_missed_raises():
+    # x^-1/2 is integrable, but no bisection meets 1e-10 at its pole; the
+    # integral must fail rather than return 1.99999 as 2
+    with np.errstate(divide="ignore"):
+        with pytest.raises(NonConvergenceError):
+            cumulative_panels(lambda t: t ** -0.5, np.array([0.0, 1.0]))
+        with pytest.raises(NonConvergenceError):
+            Antiderivative(lambda t: np.abs(t) ** -0.5)(1.0)
+        with pytest.raises(NonConvergenceError):
+            Antiderivative(lambda t: np.abs(t) ** -0.5)(-1.0)
 
 
 def test_antiderivative_shared_across_threads():

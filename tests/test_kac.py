@@ -360,7 +360,8 @@ def test_pchip_matches_scipy_bit_for_bit(name):
 # same floating-point operations, so each table must come back bit for bit:
 # (table, values, tail_fits, model_hash).  The two bounded_drift tables were
 # re-recorded when the ray tail moved to gridfn.tail; each moved toward its
-# exact value (bounded_drift(0.75) at x = 2: 7.5052103772961194).
+# exact value (bounded_drift(0.75) at x = 2: 7.5052103772961194).  The model
+# hashes were re-recorded when QuadratureConfig lost max_subdivisions.
 _INF = math.inf
 _PINNED = {
     "ou_from_above": (
@@ -372,7 +373,7 @@ _PINNED = {
          [1.1986292174046465, 2.2871153468249465, 3.256714579765398,
           4.124017880436643]],
         ((0, 1.0, 0.0), (1, 1.3234967378236004, 0.39749064489898916)),
-        "fe717893c257"),
+        "4c7057518f45"),
     "ou_from_below": (
         lambda: hitting_moment_table(ou(1.0), 1.0, "from_below",
                                      [-0.5, 0.0, 0.5], 2),
@@ -380,7 +381,7 @@ _PINNED = {
          [4.731392761083179, 4.0377283329551865, 2.79946377807497],
          [40.673896982413424, 33.87361084641477, 22.721550508911953]],
         ((0, 1.0, 0.0), (1, 3.378560516944399, 0.3300785576448281)),
-        "fe717893c257"),
+        "4c7057518f45"),
     "bounded_drift_0.75": (
         lambda: hitting_moment_table(bounded_drift(0.75), 1.0, "from_above",
                                      [2.0, 3.0, 5.0], 3),
@@ -389,7 +390,7 @@ _PINNED = {
          [_INF, _INF, _INF],
          [_INF, _INF, _INF]],
         ((0, 1.0, 0.0), (1, 2.116551362365941, 1.9834424045403047)),
-        "c7ee6cbe8020"),
+        "aa486ad9cf48"),
     "bounded_drift_1": (
         lambda: hitting_moment_table(bounded_drift(1.0), 12.0, "from_above",
                                      [30.0, 60.0, 100.0], 2),
@@ -397,7 +398,7 @@ _PINNED = {
          [757.2209445371275, 3458.1450296998028, 9858.826106829676],
          [_INF, _INF, _INF]],
         ((0, 1.0, 0.0), (1, 0.9348218674847906, 2.0111814233846803)),
-        "114b4b76d94b"),
+        "4d5cee3d671c"),
     "ou_exit": (
         lambda: exit_moment_table(ou(1.0), -1.0, 1.0,
                                   [-1.0, -0.25, 0.5, 1.0], 2),
@@ -405,14 +406,14 @@ _PINNED = {
          [0.0, 1.3814215347623053, 1.1729455500122272, 0.0],
          [0.0, 3.4843198087453264, 2.9034468904122495, 0.0]],
         (),
-        "fe717893c257"),
+        "4c7057518f45"),
     "brownian_exit": (
         lambda: exit_moment_table(brownian(), 0.0, 1.0, [0.25, 0.5, 0.75], 2),
         [[1.0, 1.0, 1.0],
          [0.1874999999999996, 0.2499999999999991, 0.1874999999999992],
          [0.07421874997860202, 0.10416666649824119, 0.07421874997860195]],
         (),
-        "2065ea4d7a55"),
+        "3f9e37b5cc46"),
 }
 
 

@@ -42,14 +42,39 @@ def test_scalar_fallback():
 
 
 def test_non_finite_integrand():
-    with np.errstate(divide="ignore"), pytest.raises(EvaluationError):
-        integrate_finite(lambda x: 1.0 / (x - 0.5), 0.5, 1.0)
+    with np.errstate(divide="ignore"):
+        # the first panel's centre node is the pole
+        with pytest.raises(EvaluationError):
+            integrate_finite(lambda x: 1.0 / (x - 0.5), 0.0, 1.0)
+        # no node ever lands on the pole, but the integral diverges
+        with pytest.raises(NonConvergenceError):
+            integrate_finite(lambda x: 1.0 / (x - 0.5), 0.5, 1.0)
+
+
+def test_integrable_pole_misses_tolerance():
+    with np.errstate(divide="ignore"), pytest.raises(NonConvergenceError):
+        integrate_finite(lambda x: x ** -0.5, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("f, exact", [
+    (lambda x: (x > 0.3).astype(float), 0.7),   # a jump inside a panel
+    (np.log, -1.0),                              # a log pole at the end
+])
+def test_reach_of_bisection(f, exact):
+    cfg = QuadratureConfig()
+    with np.errstate(divide="ignore"):
+        res = integrate_finite(f, 0.0, 1.0, cfg)
+    tol = max(cfg.abs_tol, cfg.rel_tol * abs(res.value))
+    assert res.error_estimate <= tol
+    assert abs(res.value - exact) <= tol
+    assert res.subdivisions_used > 0
 
 
 def test_budget_exhaustion():
-    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=3)
+    # about 2,700 periods need more than the 4,000 bisections per gap
+    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16)
     with pytest.raises(NonConvergenceError):
-        integrate_finite(lambda x: np.exp(np.sin(17 * x) * 5), 0.0, 10.0, cfg)
+        integrate_finite(lambda x: np.exp(np.sin(17 * x) * 5), 0.0, 1000.0, cfg)
 
 
 # Rays go through gridfn.tail, which takes the log of the integrand.
@@ -144,6 +169,12 @@ def test_tail_stops_where_log_g_cannot_be_evaluated():
         pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12)
     with pytest.raises(EvaluationError):
         tail(lambda x: log_g(x) / 1e4, 0.0, 1, 1.0, *TOL)
+
+
+def test_tail_integrable_pole_at_start_raises():
+    # y^-1/2 e^-y integrates to sqrt(pi), but not to 1e-10 at its pole
+    with np.errstate(divide="ignore"), pytest.raises(NonConvergenceError):
+        tail(lambda y: -0.5 * np.log(y) - y, 0.0, 1, 1.0, *TOL)
 
 
 def test_tail_direction_rejected():
