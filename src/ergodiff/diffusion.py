@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import astuple, dataclass
 from typing import Callable
 
@@ -117,16 +118,30 @@ class RecurrenceReport:
 class DiffusionModel:
     """Immutable diffusion dX = beta dt + sigma dW with cached scale objects.
 
+    ``diffusion`` is a callable sigma(x) or a real number c for a constant
+    sigma.  A number must give a positive, finite sigma^2 = c*c, checked
+    once here (DomainError otherwise), so the Euler kernel need not screen
+    sigma^2 at every step.
+
     All methods are pure; the panel sums behind B and S are append-only,
     and each extension is computed from the panel edges alone, so instances
     can be shared across threads.
     """
 
-    def __init__(self, drift: Callable, diffusion: Callable, label: str = "",
-                 anchor: float = 0.0,
+    def __init__(self, drift: Callable, diffusion: Callable | float,
+                 label: str = "", anchor: float = 0.0,
                  quad: QuadratureConfig = DEFAULT_CONFIG):
         self._drift = vectorize_integrand(drift)
-        self._sigma = vectorize_integrand(diffusion)
+        if isinstance(diffusion, numbers.Real):
+            c = float(diffusion)
+            if not 0.0 < c * c < math.inf:            # NaN fails too
+                raise DomainError(
+                    f"constant sigma must be finite and nonzero, got {c!r}")
+            self._sigma = lambda xs: np.full(np.shape(xs), c)
+            self._const_sigma_sq = c * c
+        else:
+            self._sigma = vectorize_integrand(diffusion)
+            self._const_sigma_sq = None
         self.label = label or "anonymous"
         self.anchor = float(anchor)
         self.quad = quad
@@ -163,14 +178,18 @@ class DiffusionModel:
         only a failing screen runs the elementwise check, which names the
         offending point (a NaN fails the screens but none of the checks).
         The coefficients come from ``sigma_sq`` and ``drift``, so every
-        evaluation stays a call of those two methods.
+        evaluation stays a call of those two methods; a constant sigma^2,
+        checked once at construction, is returned as that scalar instead,
+        with no ``sigma_sq`` call.
         """
         if not abs(x).max(initial=0.0) <= guard \
                 and np.any(np.abs(x) > guard):
             raise NumericalBlowupError(
                 f"{self.label}: |X| exceeded guard {guard:g}; "
                 "is the model recurrent?")
-        s2 = self.sigma_sq(x)
+        s2 = self._const_sigma_sq
+        if s2 is None:
+            s2 = self.sigma_sq(x)
         return self.drift(x), s2
 
     def model_hash(self) -> str:
@@ -338,21 +357,19 @@ def _worst(name: str, grid: np.ndarray, slack: np.ndarray) -> InequalityCheck:
 
 def brownian(sigma: float = 1.0, **kw) -> DiffusionModel:
     """Driftless Brownian motion with constant coefficient."""
-    return DiffusionModel(lambda x: np.zeros_like(x),
-                          lambda x, s=float(sigma): np.full_like(x, s),
+    return DiffusionModel(lambda x: np.zeros_like(x), float(sigma),
                           label=f"brownian({sigma:g})", **kw)
 
 
 def ou(theta: float = 1.0, **kw) -> DiffusionModel:
     """Ornstein-Uhlenbeck: beta(x) = -theta*x, sigma = 1."""
     th = float(theta)
-    return DiffusionModel(lambda x: -th * x, lambda x: np.ones_like(x),
-                          label=f"ou({theta:g})", **kw)
+    return DiffusionModel(lambda x: -th * x, 1.0, label=f"ou({theta:g})",
+                          **kw)
 
 
 def bounded_drift(theta: float = 1.0, **kw) -> DiffusionModel:
     """beta(x) = -theta*x/(1+x^2), sigma = 1; drift-to-noise ratio bounded."""
     th = float(theta)
-    return DiffusionModel(lambda x: -th * x / (1.0 + x * x),
-                          lambda x: np.ones_like(x),
+    return DiffusionModel(lambda x: -th * x / (1.0 + x * x), 1.0,
                           label=f"bounded_drift({theta:g})", **kw)

@@ -124,10 +124,10 @@ def tail(log_g: Callable[[np.ndarray], np.ndarray], start: float,
         _check_finite(xs, vals)  # named in x, not in y
         return vals
 
-    panels = _panel_integrals(g, np.r_[0.0, ys[:-1]], ys, rel_tol, abs_tol)[0]
+    panels, panel_err, _ = _panel_integrals(g, np.r_[0.0, ys[:-1]], ys,
+                                            rel_tol, abs_tol)
     value = float(np.cumsum(np.r_[remainder, panels[::-1]])[-1])
-    err += float(np.maximum(abs_tol, rel_tol * np.abs(panels)).sum())
-    return Tail(value, err, p)
+    return Tail(value, err + float(panel_err.sum()), p)
 
 
 def cumulative_panels(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,

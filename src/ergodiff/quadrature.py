@@ -71,7 +71,6 @@ class QuadratureResult:
     value: float
     error_estimate: float
     subdivisions_used: int
-    converged: bool
 
 
 def vectorize_integrand(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -198,11 +197,11 @@ def integrate_finite(f: Callable, a: float, b: float,
     if a > b:
         raise DomainError(f"interval endpoints out of order: [{a}, {b}]")
     if a == b:
-        return QuadratureResult(0.0, 0.0, 0, True)
+        return QuadratureResult(0.0, 0.0, 0)
     value, err, used = _panel_integrals(
         vectorize_integrand(f), np.array([a], dtype=float),
         np.array([b], dtype=float), cfg.rel_tol, cfg.abs_tol)
-    return QuadratureResult(float(value[0]), float(err[0]), used, True)
+    return QuadratureResult(float(value[0]), float(err[0]), used)
 
 
 def integrate_semi_infinite(f: Callable, a: float, direction: float,
@@ -222,4 +221,4 @@ def integrate_semi_infinite(f: Callable, a: float, direction: float,
             return np.log(fv(xs))
     res = tail(log_f, a, {np.inf: 1, -np.inf: -1}.get(direction, 0), 1.0,
                cfg.rel_tol, cfg.abs_tol)
-    return QuadratureResult(res.value, res.error_estimate, 0, True)
+    return QuadratureResult(res.value, res.error_estimate, 0)

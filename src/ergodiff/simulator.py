@@ -25,7 +25,9 @@ the block at the first event.
 
 Every check (the guard, sigma^2 > 0, finite drift, sigma and f) runs at
 every step on every row of the state, as one screening reduction,
-elementwise only when the screen fails.  A check that fails inside a block
+elementwise only when the screen fails; a constant sigma is checked once,
+when the model is built, and its sigma^2 enters the step as a scalar (see
+``DiffusionModel.step_coefficients``).  A check that fails inside a block
 ends it there; the steps before it are resolved and the step is retried
 with the rows still live, so errors keep their type, message and order, and
 a failure only on a replica that has already hit raises nothing.
@@ -34,10 +36,11 @@ Randomness is counter-based: replica r in block b reads noise row (r mod B)
 of the block.  The block's rows form lanes of L consecutive rows; each lane
 has its own Philox counter range under one key per (seed, block, kind), and
 draws its rows' noise for a chunk of steps from a counter fixed by (lane,
-chunk).  A lane is drawn only while it holds a live replica, and every
-replica's path is a pure function of (seed, replica index) -- independent
-of how many replicas run and of which lanes are drawn.  Blocks run one after
-another in index order, so results are bitwise reproducible.
+chunk).  A lane is drawn only while it holds a live replica, and only up
+to its last live row; every replica's path is a pure function of (seed,
+replica index) -- independent of how many replicas run and of which lanes
+and rows are drawn.  Blocks run one after another in index order, so
+results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -249,23 +252,27 @@ def _noise(cfg: SimConfig, block: int, n_rep: int, live_rows):
     draws its rows' noise for a chunk, row after row, from its own counter
     range (see ``_lane_stream``), so a row's noise does not depend on the
     other lanes or on the block's width.  At each chunk start
-    ``live_rows()`` gives the driver's live noise rows, and only the lanes
-    holding one are refilled, in place, into one buffer per kind.  The
-    arrays are valid only until the driver asks for the next chunk, and only
-    at rows of those lanes.
+    ``live_rows()`` gives the driver's live noise rows, ascending, and each
+    lane holding one is refilled, in place, into one buffer per kind, from
+    its first row up to its last live row: rows only ever leave, so the rows
+    past it are never read again.  The arrays are valid only until the
+    driver asks for the next chunk, and only at those live rows.
     """
     Z = np.empty((n_rep, _CHUNK))
     U = np.empty((n_rep, _CHUNK)) if cfg.crossing == "bridge" else None
     fills = [(Z, _lane_stream(cfg.seed, block, _KIND_NORMAL),
-              np.random.Generator.standard_normal)]
+              "standard_normal")]
     if U is not None:
         fills.append((U, _lane_stream(cfg.seed, block, _KIND_UNIFORM),
-                      np.random.Generator.random))
+                      "random"))
     for chunk, start in enumerate(range(0, cfg.n_steps, _CHUNK)):
-        for lane in np.unique(live_rows() // _LANE).tolist():
-            lo = lane * _LANE
+        rows = live_rows()
+        # the last live row of each lane holding one
+        for last in rows[np.diff(rows // _LANE, append=-1) != 0].tolist():
+            lane = last // _LANE
             for buf, seek, draw in fills:
-                draw(seek(lane, chunk), out=buf[lo:lo + _LANE])
+                getattr(seek(lane, chunk), draw)(
+                    out=buf[lane * _LANE:last + 1])
         m = min(_CHUNK, cfg.n_steps - start)
         yield start, Z[:, :m], None if U is None else U[:, :m]
 

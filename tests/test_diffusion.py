@@ -67,6 +67,26 @@ def test_sigma_zero_is_domain_error():
         bad.speed_density(0.0)
 
 
+@pytest.mark.parametrize("sigma", [0.0, math.nan, math.inf, -math.inf,
+                                   1e-200, 1e200])
+def test_constant_sigma_must_give_a_positive_finite_sigma_sq(sigma):
+    # 1e-200 and 1e200 are finite and nonzero, but sigma^2 is not
+    with pytest.raises(DomainError):
+        DiffusionModel(lambda x: np.zeros_like(x), sigma)
+
+
+def test_constant_sigma_matches_callable_sigma():
+    xs = np.linspace(-3.0, 3.0, 25)
+    const = DiffusionModel(lambda x: -x, -0.7, label="ou")
+    twin = DiffusionModel(lambda x: -x, lambda x: np.full_like(x, -0.7),
+                          label="ou")
+    for name in ("sigma", "sigma_sq", "speed_density", "scale_function"):
+        assert np.array_equal(getattr(const, name)(xs),
+                              getattr(twin, name)(xs))
+    drift, s2 = const.step_coefficients(xs, 1e9)
+    assert np.array_equal(drift, -xs) and s2 == 0.7 * 0.7
+
+
 def test_classification_trichotomy():
     assert brownian().classify_recurrence().classification == "null_recurrent"
     rep = ou(1.0).classify_recurrence()

@@ -84,6 +84,47 @@ def test_degenerate_sigma_raises_domain_error():
         simulate_paths(bad, _cfg(horizon=1.0, replicas=1), INDICATOR)
 
 
+def _ou_callable_sigma() -> DiffusionModel:
+    """ou(1) with sigma = 1 passed as a callable, not as a number."""
+    return DiffusionModel(lambda x: -x, lambda x: np.ones_like(x),
+                          label="ou(1)")
+
+
+@pytest.mark.parametrize("crossing", CROSSING_RULES)
+def test_constant_sigma_gives_the_callable_sigma_paths(crossing):
+    cfg = _cfg(step=5e-3, horizon=10.0, replicas=300, seed=22,
+               crossing=crossing)
+    for target, second in ((0.0, None), (-1.0, 1.0)):
+        got, want = (estimate_hitting_moments(m, cfg, 0.5, target, (1, 2),
+                                              second)
+                     for m in (ou(1.0), _ou_callable_sigma()))
+        assert got == want
+    got, want = (_batch_bytes(simulate_paths(m, cfg, INDICATOR,
+                                             checkpoints=[5.0, 10.0]))
+                 for m in (ou(1.0), _ou_callable_sigma()))
+    assert got == want
+
+
+def test_constant_sigma_is_not_evaluated_per_step(monkeypatch):
+    rows = {"drift": 0, "sigma_sq": 0}     # points evaluated, per method
+    for name in rows:
+        real = getattr(DiffusionModel, name)
+
+        def counted(self, x, name=name, real=real):
+            rows[name] += np.size(x)
+            return real(self, x)
+
+        monkeypatch.setattr(DiffusionModel, name, counted)
+    cfg = _cfg(step=5e-3, horizon=5.0, replicas=50, crossing="bridge")
+    for model, per_step in ((ou(1.0), False), (_ou_callable_sigma(), True)):
+        rows.update(drift=0, sigma_sq=0)
+        simulate_paths(model, cfg, INDICATOR)
+        # the drift at every step on every row of the state
+        assert rows["drift"] == cfg.n_steps * cfg.replicas
+        estimate_hitting_moments(model, cfg, 0.5, 0.0, (1,))
+        assert rows["sigma_sq"] == (rows["drift"] if per_step else 0)
+
+
 def test_hitting_trivial_at_target():
     m = ou(1.0)
     est = estimate_hitting_moments(m, _cfg(replicas=50), 0.5, 0.5, (1,))[0]
@@ -457,9 +498,27 @@ def test_shared_batch_matches_own_runs_and_must_fit():
                            INDICATOR, 2.0, batch=batch)
 
 
-def _count_lane_draws(monkeypatch) -> list:
-    """Count the lane refills of every noise stream from now on."""
-    draws = []
+class _RowCounter(np.random.Generator):
+    """A lane's Generator, on the same bit generator, that records how many
+    rows each draw fills."""
+
+    def __init__(self, gen, rows: list):
+        super().__init__(gen.bit_generator)
+        self._rows = rows
+
+    def standard_normal(self, *, out):
+        self._rows.append(out.shape[0])
+        return super().standard_normal(out=out)
+
+    def random(self, *, out):
+        self._rows.append(out.shape[0])
+        return super().random(out=out)
+
+
+def _count_lane_draws(monkeypatch) -> tuple[list, list]:
+    """Record the lane and the rows of every lane refill of every noise
+    stream from now on."""
+    draws, rows = [], []
     real = simulator._lane_stream
 
     def counted(*args):
@@ -467,12 +526,12 @@ def _count_lane_draws(monkeypatch) -> list:
 
         def counted_seek(lane, chunk):
             draws.append(lane)
-            return seek(lane, chunk)
+            return _RowCounter(seek(lane, chunk), rows)
 
         return counted_seek
 
     monkeypatch.setattr(simulator, "_lane_stream", counted)
-    return draws
+    return draws, rows
 
 
 def _draw_all_lanes(monkeypatch):
@@ -491,12 +550,15 @@ def test_live_lanes_draw_gives_the_all_lanes_hitting_outputs(monkeypatch,
     cfg = _cfg(step=5e-3, horizon=10.0, replicas=4500, seed=21,
                crossing=crossing)
     args = (ou(1.0), cfg, 0.5, 0.0, (1, 2))
-    draws = _count_lane_draws(monkeypatch)
+    draws, rows = _count_lane_draws(monkeypatch)
     live = estimate_hitting_moments(*args)
-    n_live = len(draws)
+    n_live, rows_live = len(draws), sum(rows)
     _draw_all_lanes(monkeypatch)
     assert estimate_hitting_moments(*args) == live
     assert n_live < (len(draws) - n_live) / 2
+    # a lane drawn to its end fills _LANE rows (the block's last, partial
+    # lane fewer); a lane drawn to its last live row fills fewer still
+    assert 0 < rows_live < (simulator._LANE - 0.5) * n_live
 
 
 def test_live_lanes_draw_gives_the_all_lanes_first_block_constants(
@@ -505,7 +567,7 @@ def test_live_lanes_draw_gives_the_all_lanes_first_block_constants(
     # lanes that still hold one
     cfg = _cfg(step=0.02, horizon=40.0, replicas=300, seed=5)
     args = (ou(1.0), cfg, INDICATOR)
-    draws = _count_lane_draws(monkeypatch)
+    draws, _ = _count_lane_draws(monkeypatch)
     live = _batch_bytes(simulate_paths(*args, max_cycles=1))
     n_live = len(draws)
     _draw_all_lanes(monkeypatch)
