@@ -236,6 +236,8 @@ def load_config(path: str, seed: int | None = None,
                 "[diffusion] needs either model= or drift= and diffusion=")
     except ExpressionError as exc:
         raise ConfigError(f"[diffusion] expression error: {exc}") from exc
+    except DomainError as exc:  # a built-in's argument out of its range
+        raise ConfigError(f"[diffusion] model: {exc}") from None
 
     assumptions = None
     if ass_sec:

@@ -223,12 +223,6 @@ class DiffusionModel:
         out = 2.0 * np.exp(self._log_scale.values(xs) - np.log(s2))
         return float(out[0]) if np.ndim(x) == 0 else out
 
-    def log_speed_density(self, x) -> np.ndarray:
-        """log m(x) = log 2 + B(x) - log sigma^2(x); vectorized."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        return (math.log(2.0) + self._log_scale.values(xs)
-                - np.log(self.sigma_sq(xs)))
-
     # -- classification -----------------------------------------------------
 
     def classify_recurrence(self) -> RecurrenceReport:
@@ -242,9 +236,11 @@ class DiffusionModel:
         if self._recurrence is not None:
             return self._recurrence
         log_s = lambda xs: -self._log_scale.values(xs)
+        log_m = lambda xs: (math.log(2.0) + self._log_scale.values(xs)
+                            - np.log(self.sigma_sq(xs)))
         tails = [tail(fn, self.anchor, side, 1.0, self.quad.rel_tol,
                       self.quad.abs_tol)
-                 for fn in (log_s, self.log_speed_density) for side in (1, -1)]
+                 for fn in (log_s, log_m) for side in (1, -1)]
         values = [t.value for t in tails]
         unknown = [math.isnan(v) for v in values]
         if math.isfinite(values[0]) or math.isfinite(values[1]):

@@ -67,16 +67,14 @@ def tail(log_g: Callable[[np.ndarray], np.ndarray], start: float,
     (-inf, start] (-1).
 
     One GK15 panel per gap of the grid (bisected where its error check
-    fails), summed from the top, plus the remainder g(L) y_L / (-p-1) beyond
-    the last node L, where y is the distance from ``start`` and the endpoint
-    power p is read from log g at the last two nodes.  p >= -1 + TAIL_BAND
-    is +inf and |p + 1| < TAIL_BAND inconclusive.  log g is read out to the
-    last node, or, once out of the float range, as far as it can be
-    evaluated.  If it ends above +700 the integral is +inf (p = +inf); if it
-    ends below -700, g vanishes from where it last dropped there (p = -inf);
-    if it passes +700 and then falls back, the integral is too large to hold
-    and is reported inconclusive.  ``log_g`` must accept ndarrays; it is
-    never evaluated at ``start`` itself.
+    fails), summed from the top, plus ``_remainder`` beyond the last node in
+    y, the distance from ``start``.  log g is read out to the last node, or,
+    once out of the float range, as far as it can be evaluated.  If it ends
+    above +700 the integral is +inf (p = +inf); if it ends below -700, g
+    vanishes from where it last dropped there (p = -inf); if it passes +700
+    and then falls back, the integral is too large to hold and is reported
+    inconclusive.  ``log_g`` must accept ndarrays; it is never evaluated at
+    ``start`` itself.
     """
     if direction not in (1, -1):
         raise DomainError("direction must be +1 or -1")
@@ -105,17 +103,13 @@ def tail(log_g: Callable[[np.ndarray], np.ndarray], start: float,
     if low[-1]:  # g has vanished: the grid ends where it last dropped out
         last_in = np.flatnonzero(~low)
         ys = ys[:last_in[-1] + 2 if last_in.size else 1]
-        p, remainder, err = -math.inf, 0.0, 0.0
+        beyond = Tail(0.0, 0.0, -math.inf)
     else:
-        p = float(lg[-1] - lg[-2]) / math.log(2.0)
-        if p >= -1.0 + TAIL_BAND:
-            return Tail(math.inf, math.inf, p)
-        remainder = math.exp(lg[-1]) * float(ys[-1]) / (-p - 1.0)
-        # how much the remainder moves with p over the last two gaps
-        p_prev = float(lg[-2] - lg[-3]) / math.log(2.0)
-        err = abs(remainder * (p - p_prev) / (p + 1.0))
-    if high.any() or abs(p + 1.0) < TAIL_BAND:
-        return Tail(math.nan, math.nan, p)
+        beyond = _remainder(ys, lg)
+        if beyond.value == math.inf:
+            return beyond
+    if high.any() or math.isnan(beyond.value):
+        return Tail(math.nan, math.nan, beyond.power)
 
     def g(y):
         xs = start + direction * y
@@ -126,8 +120,23 @@ def tail(log_g: Callable[[np.ndarray], np.ndarray], start: float,
 
     panels, panel_err, _ = _panel_integrals(g, np.r_[0.0, ys[:-1]], ys,
                                             rel_tol, abs_tol)
-    value = float(np.cumsum(np.r_[remainder, panels[::-1]])[-1])
-    return Tail(value, err + float(panel_err.sum()), p)
+    value = float(np.cumsum(np.r_[beyond.value, panels[::-1]])[-1])
+    return Tail(value, beyond.error_estimate + float(panel_err.sum()),
+                beyond.power)
+
+
+def _remainder(ys: np.ndarray, lg: np.ndarray) -> Tail:
+    """g(y_L) y_L / (-p-1), the integral of g = exp(lg) beyond the last of
+    the distances ``ys``, from its endpoint power p over the last two nodes
+    (g ~ y^p); its error is how far it moves if p takes the value of the gap
+    before.  +inf for p >= -1 + TAIL_BAND, NaN within TAIL_BAND of -1."""
+    p_prev, p = map(float, np.diff(lg[-3:]) / np.log(ys[-2:] / ys[-3:-1]))
+    if p >= -1.0 + TAIL_BAND:
+        return Tail(math.inf, math.inf, p)
+    if abs(p + 1.0) < TAIL_BAND:
+        return Tail(math.nan, math.nan, p)
+    value = math.exp(lg[-1]) * float(ys[-1]) / (-p - 1.0)
+    return Tail(value, abs(value * (p - p_prev) / (p + 1.0)), p)
 
 
 def cumulative_panels(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,

@@ -12,18 +12,19 @@ and rho = 1 on the ray [a, inf)
 Each curve is interpolated inside the next order's quadrature by a private
 shape-preserving cubic (PCHIP, ``_pchip``) that reproduces SciPy's
 ``PchipInterpolator`` bit for bit, and the grid doubles until the requested
-values settle.  On the ray the grid stops at a horizon L and Q adds the tail
-beyond it: the leading power law fitted on the last decade of the grid
-(log-log regression) times m, integrated by ``gridfn.tail`` from log m.  A
-divergent tail at order k makes that row and every higher one +inf; a tail
-too close to the border of integrability to judge raises
+values settle.  No tail is fitted on the ray: its grid runs out to 2^30
+times its reach (or until exp(+-B) leaves the float range), its far curves
+are interpolated as log u against log x, and Q is summed from the top down
+from the remainder beyond the last node, read from the endpoint power p of
+u_{k-1} m by the rule of ``gridfn.tail``.  p is the verdict: a divergent
+order makes that row and every higher one +inf, an inconclusive one raises
 InconclusiveError.  Hitting from below reflects the model through the
 target.
 
-Within one table, S, m and log m are evaluated once per distinct node array:
-the GK15 nodes of a round's gaps are the same for every order, once for P
-and once for Q, and a ray's tail nodes are the same in every round.  The
-memo lives for that one table only and keeps nothing on the model.
+Within one table, S and m are evaluated once per distinct node array: the
+GK15 nodes of a round's gaps are the same for every order, once for P and
+once for Q.  The memo lives for that one table only and keeps nothing on
+the model.
 
 The order-1 case with a source |f| in place of 1 gives the cycle-integral
 constant of the L1 deviation bound in closed form (``first_block_sup``).
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,8 +42,9 @@ import numpy as np
 from .diffusion import DiffusionModel
 from .errors import (DomainError, InconclusiveError, InterpolationError,
                      NotPositiveRecurrentError)
-from .gridfn import cumulative_panels, tail
-from .quadrature import QuadratureConfig, integrate_finite, vectorize_integrand
+from .gridfn import _remainder, cumulative_panels
+from .quadrature import (QuadratureConfig, _panel_integrals, integrate_finite,
+                         vectorize_integrand)
 
 __all__ = [
     "MomentTable", "mean_exit_time", "first_block_sup", "exit_moment_table",
@@ -73,7 +75,7 @@ class MomentTable:
     x_grid: np.ndarray
     values: np.ndarray
     model_hash: str = ""
-    tail_fits: tuple = field(default=())
+    tail_powers: tuple = ()  # a ray's endpoint power of order k at k - 1
 
     @property
     def orders(self) -> int:
@@ -154,12 +156,20 @@ def first_block_sup(model: DiffusionModel, a: float, b: float, f,
     return max(from_below, from_above) + back
 
 
-def _interpolant(grid: np.ndarray, vals: np.ndarray) -> Callable:
-    if np.allclose(vals, vals[0], rtol=0, atol=1e-300):
-        const = float(vals[0])
-        return lambda xs: np.full_like(np.asarray(xs, dtype=float), const)
+def _interpolant(grid: np.ndarray, vals: np.ndarray,
+                 knee: float | None) -> Callable:
     pch = _pchip(grid, vals)
-    return lambda xs: np.maximum(pch(np.asarray(xs, dtype=float)), 0.0)
+    i = grid.size if knee is None else int(np.searchsorted(grid, knee))
+    if i > grid.size - 2:
+        return lambda xs: np.maximum(pch(np.asarray(xs, dtype=float)), 0.0)
+    loglog = _pchip(np.log(grid[i:]), np.log(vals[i:]))
+
+    def interpolant(xs):  # xs: a float array of quadrature nodes
+        out = np.maximum(pch(xs), 0.0)
+        far = xs >= grid[i]
+        out[far] = np.exp(loglog(np.log(xs[far])))
+        return out
+    return interpolant
 
 
 def _edge_slope(h0, h1, m0, m1) -> float:
@@ -259,23 +269,24 @@ def hitting_moment_table(model: DiffusionModel, target: float, side: str,
             label=f"mirror[{model.label}]", anchor=0.0, quad=model.quad)
         starts = 2.0 * c - xs
     grid = _hitting_grid(walker, float(target), starts)
-    values, fits = _settle(walker, grid, starts, n, rel_tol, two_sided=False)
+    values, powers = _settle(walker, grid, starts, n, rel_tol, two_sided=False)
     return MomentTable(side, (target,), xs, values, model.model_hash(),
-                       tuple(fits))
+                       powers)
 
 
 def _settle(model: DiffusionModel, grid: np.ndarray, xs: np.ndarray, n: int,
-            rel_tol: float, two_sided: bool) -> tuple[np.ndarray, list]:
+            rel_tol: float, two_sided: bool) -> tuple[np.ndarray, tuple]:
     """Doubles the grid until the values at ``xs`` settle: +inf in the same
     places as the round before and every other value within ``rel_tol``.
-    S, m and log m are memoized for this table only."""
+    A ray's knee (see ``_curves``) is the farthest start, or |a| + 1 where
+    that is further, so that log x is smooth beyond it.  S and m are
+    memoized for this table only."""
+    knee = None if two_sided else max(float(np.max(xs)), abs(grid[0]) + 1.0)
     S, m = _memo(model.scale_function), _memo(model.speed_density)
-    log_m = _memo(model.log_speed_density)
     try:
         prev = None
         for round_ in range(_MAX_REFINEMENTS + 1):
-            curves, fits = _curves(model.quad, S, m, log_m, grid, n,
-                                   two_sided)
+            curves, powers = _curves(model.quad, S, m, grid, n, knee)
             idx = np.searchsorted(grid, xs)
             extract = np.stack([c[idx] for c in curves])
             if prev is not None and np.array_equal(np.isinf(extract),
@@ -285,7 +296,7 @@ def _settle(model: DiffusionModel, grid: np.ndarray, xs: np.ndarray, n: int,
                 change = float(np.max(
                     np.abs(extract[kept] - prev[kept]) / scale, initial=0.0))
                 if change < rel_tol:
-                    return extract, fits
+                    return extract, powers
             prev = extract
             if round_ < _MAX_REFINEMENTS:
                 mids = 0.5 * (grid[:-1] + grid[1:])
@@ -297,38 +308,26 @@ def _settle(model: DiffusionModel, grid: np.ndarray, xs: np.ndarray, n: int,
         # a caller that keeps the traceback of a failure keeps this frame
         S.clear()
         m.clear()
-        log_m.clear()
 
 
 def _hitting_grid(model: DiffusionModel, a: float,
                   xs: np.ndarray) -> np.ndarray:
+    """Linear to the farthest start a + span, geometric to a + reach, then
+    by sqrt(2) to 2^30 reach; cut before the first node beyond a + span
+    where |B| > _LOG_SCALE_LIMIT, reading B a chunk at a time."""
     span = float(np.max(xs) - a)
     reach = max(_TAIL_FACTOR * span, _TAIL_FACTOR * (1.0 + abs(a)))
-    L = a + reach
-    # keep exp(B) representable over the working range
-    while abs(model.log_scale_exponent(L)) > _LOG_SCALE_LIMIT \
-            and L - a > 1.5 * span:
-        L = a + (L - a) / 1.4
     pivot = a + span
     lin = np.linspace(a, pivot, _N_LINEAR)
-    geo = a + np.geomspace(span, L - a, _N_GEOMETRIC)
-    return np.unique(np.concatenate([lin, geo, xs]))
-
-
-def _fit_tail(grid: np.ndarray, vals: np.ndarray) -> tuple[float, float]:
-    """Leading power law C * xi^kappa fitted on the last decade of the grid."""
-    L = grid[-1]
-    lo = max(L / 10.0, grid[0] + 0.5 * (L - grid[0]) / 10.0, 1e-9)
-    mask = grid >= lo
-    if np.count_nonzero(mask) < 4:
-        mask = grid >= grid[max(0, grid.size - 8)]
-    gx = grid[mask]
-    gv = vals[mask]
-    if np.max(gv) <= 0 or np.max(gv) / max(np.min(gv[gv > 0], initial=np.inf), 1e-300) < 1.05:
-        return float(np.mean(gv)), 0.0
-    pos = gv > 0
-    kappa, logc = np.polyfit(np.log(gx[pos]), np.log(gv[pos]), 1)
-    return float(np.exp(logc)), float(kappa)
+    geo = a + np.geomspace(span, reach, _N_GEOMETRIC)
+    far = a + reach * 2.0 ** (np.arange(1, 61) / 2)
+    grid = np.unique(np.concatenate([lin, geo, far, xs]))
+    for i in range(np.searchsorted(grid, pivot, "right"), grid.size, 16):
+        out = np.abs(model.log_scale_exponent(grid[i:i + 16])) \
+            > _LOG_SCALE_LIMIT
+        if out.any():
+            return grid[:i + int(np.argmax(out))]
+    return grid
 
 
 def _memo(fn: Callable) -> Callable:
@@ -352,50 +351,51 @@ def _memo(fn: Callable) -> Callable:
 
 
 def _curves(quad: QuadratureConfig, S: Callable, m: Callable,
-            log_m: Callable, grid: np.ndarray, n: int,
-            two_sided: bool) -> tuple[list[np.ndarray], list]:
-    """Moment curves u_0..u_n on ``grid`` and the tail fits of a ray.
+            grid: np.ndarray, n: int,
+            knee: float | None) -> tuple[list[np.ndarray], tuple]:
+    """Moment curves u_0..u_n on ``grid`` and a ray's endpoint powers.
 
     u_k = k [rho P + (S - S(a)) Q] / rho(a) with P = int_a^x (S - S(a))
-    u_{k-1} m and Q = int_x^end rho u_{k-1} m.  On an interval rho = S(b) - S;
-    on the ray [a, inf) rho = 1 and Q also takes the fitted tail beyond the
-    grid.  Orders from the first divergent tail on are +inf.  ``S``, ``m``
-    and ``log_m`` are the model's scale function, speed density and its log
-    (memoized by ``_settle``).
+    u_{k-1} m and Q = int_x^end rho u_{k-1} m.  On an interval (``knee``
+    None) rho = S(b) - S.  On the ray [a, inf) rho = 1, u_{k-1} is
+    interpolated as log u against log x from ``knee`` on, and Q is summed
+    from the top down (a running sum from the bottom cancels every digit
+    where Q is small), starting from ``gridfn._remainder`` of u_{k-1} m
+    beyond the last node.  Orders from the first divergent one on are +inf;
+    an inconclusive one raises InconclusiveError.  ``S`` and ``m`` are the
+    model's scale function and speed density (memoized by ``_settle``).
     """
+    tol = quad.rel_tol, quad.abs_tol
     sg = S(grid)
-    sa = sg[0]
-    if two_sided:
-        sb = sg[-1]
-        rho, rho_g, rho_a = (lambda t: sb - S(t)), sb - sg, sb - sa
-    else:
-        rho, rho_g, rho_a = (lambda t: 1.0), 1.0, 1.0
+    sa, sb = sg[0], sg[-1]
     curves = [np.ones_like(grid)]
-    fits = []
+    powers = []
     for k in range(1, n + 1):
-        prev = _interpolant(grid, curves[-1])
-        wp = lambda t: (S(t) - sa) * prev(t) * m(t)
-        wq = lambda t: rho(t) * prev(t) * m(t)
-        if not two_sided:
-            c_fit, kappa = (1.0, 0.0) if k == 1 else _fit_tail(grid, curves[-1])
-            fits.append((k - 1, c_fit, kappa))
-            log_c = math.log(c_fit)
-            far = tail(lambda t: log_c + kappa * np.log(t) + log_m(t),
-                       grid[-1], 1, 1.0, quad.rel_tol, quad.abs_tol)
-            if math.isnan(far.value):
+        prev = _interpolant(grid, curves[-1], knee)
+        if knee is not None:
+            beyond = _remainder(grid[-3:] - grid[0],
+                                np.log(curves[-1][-3:] * m(grid[-3:])))
+            powers.append(beyond.power)
+            if math.isnan(beyond.value):
                 raise InconclusiveError(
                     f"order-{k} tail beyond x={grid[-1]:g} is inconclusive "
-                    f"(endpoint power {far.power:.4g})")
-            if far.value == math.inf:
+                    f"(endpoint power {beyond.power:.4g})")
+            if beyond.value == math.inf:
                 break
-        P = cumulative_panels(wp, grid, quad.rel_tol, quad.abs_tol)
-        Qc = cumulative_panels(wq, grid, quad.rel_tol, quad.abs_tol)
-        Q = Qc[-1] - Qc
-        if not two_sided:
-            Q = Q + far.value
-        curves.append(k * (rho_g * P + (sg - sa) * Q) / rho_a)
+        P = cumulative_panels(lambda t: (S(t) - sa) * prev(t) * m(t), grid,
+                              *tol)
+        if knee is None:
+            Qc = cumulative_panels(lambda t: (sb - S(t)) * prev(t) * m(t),
+                                   grid, *tol)
+            curves.append(k * ((sb - sg) * P + (sg - sa) * (Qc[-1] - Qc))
+                          / (sb - sa))
+        else:
+            q = _panel_integrals(lambda t: prev(t) * m(t), grid[:-1],
+                                 grid[1:], *tol)[0]
+            Q = np.cumsum(np.r_[beyond.value, q[::-1]])[::-1]
+            curves.append(k * (P + (sg - sa) * Q))
     curves += [np.full_like(grid, np.inf)] * (n + 1 - len(curves))
-    return curves, fits
+    return curves, tuple(powers)
 
 
 def simultaneity_check(table: MomentTable) -> SimultaneityReport:

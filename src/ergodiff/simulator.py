@@ -14,12 +14,12 @@ crossing fractions (on the crossing entries only), f on one flat array, the
 running integrals (cumulative sums in step order, bitwise those of an
 in-place +=), checkpoints and event records run once per block of K steps,
 about _CELLS cells, never across a noise chunk.  Outputs do not depend on K.
-The hitting driver passes its one or two fixed barriers: a replica's hit is
-its first crossing in the block, and its later steps in the block are
-discarded.  The regeneration driver tests both levels over the block and
-walks each row's alternating events (b while waiting for b, then a), kept as
-arrays of (replica, time[, cycle integral]) and split into per-replica
-samples by one stable sort at the end.  With ``max_cycles`` no row may step
+The hitting driver tests its fixed level: a replica's hit is its first
+crossing in the block, and its later steps in the block are discarded.  The
+regeneration driver tests both levels over the block and walks each row's
+alternating events (b while waiting for b, then a), kept as arrays of
+(replica, time[, cycle integral]) and split into per-replica samples by one
+stable sort at the end.  With ``max_cycles`` no row may step
 past its last event, so the kernel tests each row's level per step and ends
 the block at the first event.
 
@@ -356,7 +356,7 @@ def _fractions(tests: tuple, at: tuple) -> np.ndarray:
 # -- hitting-time driver -----------------------------------------------------
 
 def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
-               barriers: tuple, block: int, n_rep: int) -> np.ndarray:
+               level: float, block: int, n_rep: int) -> np.ndarray:
     """Hitting times of one RNG block (nan: censored).  A replica that hits
     steps on to the end of its kernel block; its hit is its first crossing
     in the block, and the later steps are discarded."""
@@ -377,22 +377,15 @@ def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
             S2 = None if U is None else _shaped(s2_buf, K, n)
             K, _ = _euler_block(model, cfg, T, Z[rows, j:j + K].T, S2)
             u = None if U is None else U[rows, j:j + K].T
-            tests = [_crossing_tests(T[:K], T[1:K + 1], lvl,
-                                     None if S2 is None else S2[:K], u, h)
-                     for lvl in barriers]
-            fired = tests[0][3]
-            for t in tests[1:]:
-                fired = fired | t[3]
+            tests = _crossing_tests(T[:K], T[1:K + 1], level,
+                                    None if S2 is None else S2[:K], u, h)
+            fired = tests[3]
             out = fired.any(axis=0)
             cols = out.nonzero()[0]
             x = T[K]
             if cols.size:
                 k = fired[:, cols].argmax(axis=0)   # the first crossing step
-                theta = np.full(cols.size, np.inf)
-                for t in tests:
-                    on = t[3][k, cols]
-                    theta[on] = np.minimum(
-                        theta[on], _fractions(t, (k[on], cols[on])))
+                theta = _fractions(tests, (k, cols))
                 hit[idx[cols]] = (start + j + k) * h + theta * h
                 keep = ~out
                 x, idx = x[keep], idx[keep]
@@ -603,11 +596,10 @@ def _batch_se(values: np.ndarray, n_batches: int = 32) -> float:
 
 
 def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
-                             target: float, orders, second_target=None
+                             target: float, orders
                              ) -> list[HittingEstimate]:
     """Monte Carlo E_x0 T^k for each k in ``orders``, from one shared
-    sample of hitting times of ``target`` (or of the two-sided exit when
-    ``second_target`` is given).
+    sample of hitting times of ``target``.
 
     Censored replicas (no hit by the horizon) are excluded and reported; a
     censored fraction at or above 50% raises ExcessCensoringError.
@@ -615,15 +607,14 @@ def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
     orders = [int(k) for k in orders]
     if any(k < 1 for k in orders):
         raise DomainError("orders must be >= 1")
-    barriers = (float(target),) if second_target is None \
-        else (float(target), float(second_target))
-    if x0 in barriers:
+    target = float(target)
+    if x0 == target:
         return [HittingEstimate(estimate=0.0, stderr=0.0,
                                 censored_fraction=0.0, order=k,
                                 n_used=cfg.replicas)
                 for k in orders]
     times = np.concatenate(_run_blocks(
-        lambda bid, cnt: _hit_block(model, cfg, x0, barriers, bid, cnt), cfg))
+        lambda bid, cnt: _hit_block(model, cfg, x0, target, bid, cnt), cfg))
     censored = np.isnan(times)
     frac = float(np.mean(censored))
     if frac >= 0.5:

@@ -122,12 +122,16 @@ def test_section_names_are_case_insensitive(tmp_path):
     ("initial = point(0.0)", "initial = point(nan)", ("point law",)),
     ("initial = point(0.0)", "initial = gaussian(0, nan)",
      ("gaussian law",)),
-    ("initial = point(0.0)", "initial = uniform(0, inf)", ("uniform law",))],
+    ("initial = point(0.0)", "initial = uniform(0, inf)", ("uniform law",)),
+    ("model = ou(1.0)", "model = brownian(0)",
+     ("[diffusion] model", "finite and nonzero", "0.0")),
+    ("model = ou(1.0)", "model = brownian(1e200)",
+     ("[diffusion] model", "finite and nonzero", "1e+200"))],
     ids=["orders", "step", "replicas", "target", "probe_limit", "model",
          "indicator", "side", "negative-orders", "negative-tol", "zero-tol",
          "nan-tol", "m0", "nan-m0", "sigma0", "r_cap", "inf-horizon",
          "nan-horizon", "nan-step", "nan-point", "nan-gaussian-sd",
-         "inf-uniform"])
+         "inf-uniform", "zero-sigma", "huge-sigma"])
 def test_bad_value_is_a_config_error(tmp_path, capsys, old, new, names):
     text = FULL.format(out=tmp_path / "o").replace(old, new)
     assert main(["moments", "--config", _write(tmp_path, text)]) == 1

@@ -8,8 +8,8 @@ from scipy.interpolate import PchipInterpolator
 
 from ergodiff import kac
 from ergodiff.diffusion import DiffusionModel, bounded_drift, brownian, ou
-from ergodiff.errors import (DomainError, InterpolationError,
-                             NotPositiveRecurrentError)
+from ergodiff.errors import (DomainError, InconclusiveError,
+                             InterpolationError, NotPositiveRecurrentError)
 from ergodiff.kac import (exit_moment_table, first_block_sup,
                           hitting_moment_table, mean_exit_time,
                           simultaneity_check)
@@ -214,12 +214,71 @@ def test_hitting_grid_side_validation(ou1):
 
 def test_tail_fit_matches_growth_exponent():
     # under the lower coefficient envelope the order-k curve grows like
-    # x^(2k); the fitted tail exponent must land near 2 for order 1
+    # x^(2k) and m = 2 (1 + x^2)^-1, so the order-k tail integrand
+    # u_{k-1} m has the endpoint power 2k - 4: -2 (finite) at order 1 and
+    # 0 (divergent, the row is +inf) at order 2
     model = bounded_drift(1.0)
     xs = np.array([30.0, 60.0, 100.0])
     tbl = hitting_moment_table(model, 12.0, "from_above", xs, 2)
-    fits = {order: kappa for order, c, kappa in tbl.tail_fits}
-    assert fits[1] == pytest.approx(2.0, abs=0.3)
+    assert len(tbl.tail_powers) == 2
+    assert tbl.tail_powers[0] == pytest.approx(-2.0, abs=1e-3)
+    assert tbl.tail_powers[1] == pytest.approx(0.0, abs=1e-3)
+    assert np.all(np.isinf(tbl.order(2)))
+
+
+# E_x T_1^2 for bounded_drift(theta) at x = 2, 3, 5, by nested
+# scipy.integrate.quad over the closed form of the tail of m:
+# I(z) = int_z^inf (1+y^2)^-theta dy
+#      = B(theta - 1/2, 1/2) betainc(theta - 1/2, 1/2, 1/(1+z^2)) / 2,
+# s = (1+z^2)^theta, u_1 = 2 int_1^x s I and, by parts,
+# Q_2(z) = int_z^inf 2 u_1 m = 2 u_1 I + int_z^inf 4 s I^2, u_2 = 2 int_1^x s Q_2.
+_BD_ORDER2 = {
+    1.6: [56.5177421603, 240.957405447, 1596.7115935],
+    2.2: [5.03543113611, 22.3989620266, 150.364112135],
+    3.0: [1.532486982, 7.08325351197, 48.1818387649],
+}
+
+
+@pytest.mark.parametrize("theta", list(_BD_ORDER2))
+def test_bounded_drift_order2_matches_betainc_oracle(theta):
+    tbl = hitting_moment_table(bounded_drift(theta), 1.0, "from_above",
+                               [2.0, 3.0, 5.0], 2)
+    assert tbl.order(2) == pytest.approx(_BD_ORDER2[theta], rel=1e-6)
+
+
+@pytest.mark.parametrize("theta", [1.2, 1.4, 1.45, 1.55, 1.6, 2.0, 2.4, 2.6,
+                                   3.0])
+def test_bounded_drift_verdicts_match_closed_form(theta):
+    # E_x T^k < inf exactly when k < theta + 1/2, uniformly in x
+    tbl = hitting_moment_table(bounded_drift(theta), 1.0, "from_above",
+                               [2.0, 3.0, 5.0], 3)
+    for k in (1, 2, 3):
+        row = tbl.order(k)
+        if k < theta + 0.5:
+            assert np.all(np.isfinite(row)) and np.all(row > 0)
+        else:
+            assert np.all(np.isinf(row))
+
+
+def test_bounded_drift_on_the_border_is_inconclusive():
+    # at theta = 3/2 the order-2 tail integrand decays exactly like 1/x
+    with pytest.raises(InconclusiveError):
+        hitting_moment_table(bounded_drift(1.5), 1.0, "from_above",
+                             [2.0, 3.0, 5.0], 2)
+
+
+def test_inverse_gaussian_moments():
+    # drift -sign(x), sigma = 1: from x > a > 0, T_a is inverse Gaussian
+    # with mean mu = x - a and shape mu^2, so E T = mu, E T^2 = mu + mu^2
+    # and E T^3 = mu^3 + 3 mu^2 + 3 mu; its tail is exponential, not a
+    # power law
+    model = DiffusionModel(lambda x: -np.sign(x), lambda x: np.ones_like(x))
+    xs = np.array([1.0, 2.0, 3.0])
+    mu = xs - 0.5
+    tbl = hitting_moment_table(model, 0.5, "from_above", xs, 3)
+    exact = [mu, mu + mu ** 2, mu ** 3 + 3 * mu ** 2 + 3 * mu]
+    for k in (1, 2, 3):
+        assert tbl.order(k) == pytest.approx(exact[k - 1], rel=1e-8)
 
 
 def test_hitting_bounded_drift_06_matches_betainc_oracle():
@@ -358,46 +417,49 @@ def test_pchip_matches_scipy_bit_for_bit(name):
 # Tables recorded with the separate exit and hitting recursions that the
 # shared one replaced (x86-64, NumPy 2.4.6, SciPy 1.17.1).  Both build the
 # same floating-point operations, so each table must come back bit for bit:
-# (table, values, tail_fits, model_hash).  The two bounded_drift tables were
-# re-recorded when the ray tail moved to gridfn.tail; each moved toward its
-# exact value (bounded_drift(0.75) at x = 2: 7.5052103772961194).  The model
-# hashes were re-recorded when QuadratureConfig lost max_subdivisions.
+# (table, values, tail_powers, model_hash).  The hitting tables were
+# re-recorded when the ray stopped fitting a power law to its tail and ran
+# its grid out to about 2^30 times its reach instead: order 1 moved in the
+# last digits only (OU from 0.5: ...927 -> ...920); OU order 2 moved by up
+# to 8e-9 relative, toward nested-quad values (at x = 2: 4.12401788 ->
+# 4.12401791, quad 4.124017904).  The model hashes were re-recorded when
+# QuadratureConfig lost max_subdivisions.
 _INF = math.inf
 _PINNED = {
     "ou_from_above": (
         lambda: hitting_moment_table(ou(1.0), 0.0, "from_above",
                                      [0.5, 1.0, 1.5, 2.0], 2),
         [[1.0, 1.0, 1.0, 1.0],
-         [0.6936644281279927, 1.1472371061785112, 1.475198802115958,
-          1.728784287988541],
-         [1.1986292174046465, 2.2871153468249465, 3.256714579765398,
-          4.124017880436643]],
-        ((0, 1.0, 0.0), (1, 1.3234967378236004, 0.39749064489898916)),
+         [0.693664428127992, 1.1472371061785087, 1.4751988021159508,
+          1.7287842879885291],
+         [1.198629218578109, 2.2871153499272605, 3.256714588282357,
+          4.124017914564662]],
+        (-877.695836851128, -877.4472358169485),
         "4c7057518f45"),
     "ou_from_below": (
         lambda: hitting_moment_table(ou(1.0), 1.0, "from_below",
                                      [-0.5, 0.0, 0.5], 2),
         [[1.0, 1.0, 1.0],
-         [4.731392761083179, 4.0377283329551865, 2.79946377807497],
-         [40.673896982413424, 33.87361084641477, 22.721550508911953]],
-        ((0, 1.0, 0.0), (1, 3.378560516944399, 0.3300785576448281)),
+         [4.731392761083179, 4.037728332955186, 2.79946377807497],
+         [40.67389723550319, 33.8736110309963, 22.72155062468216]],
+        (-835.8421275645296, -835.7110412432061),
         "4c7057518f45"),
     "bounded_drift_0.75": (
         lambda: hitting_moment_table(bounded_drift(0.75), 1.0, "from_above",
                                      [2.0, 3.0, 5.0], 3),
         [[1.0, 1.0, 1.0],
-         [7.505210377296146, 18.444071586008633, 51.65172153215015],
+         [7.505210377296153, 18.444071586008647, 51.65172153215019],
          [_INF, _INF, _INF],
          [_INF, _INF, _INF]],
-        ((0, 1.0, 0.0), (1, 2.116551362365941, 1.9834424045403047)),
+        (-1.4999999999526816, 0.5000000000094456),
         "aa486ad9cf48"),
     "bounded_drift_1": (
         lambda: hitting_moment_table(bounded_drift(1.0), 12.0, "from_above",
                                      [30.0, 60.0, 100.0], 2),
         [[1.0, 1.0, 1.0],
-         [757.2209445371275, 3458.1450296998028, 9858.826106829676],
+         [757.2209445371283, 3458.1450296998146, 9858.826106829714],
          [_INF, _INF, _INF]],
-        ((0, 1.0, 0.0), (1, 0.9348218674847906, 2.0111814233846803)),
+        (-1.9999999999655824, 1.1428454150418245e-11),
         "4d5cee3d671c"),
     "ou_exit": (
         lambda: exit_moment_table(ou(1.0), -1.0, 1.0,
@@ -419,8 +481,8 @@ _PINNED = {
 
 @pytest.mark.parametrize("name", list(_PINNED))
 def test_pinned_moment_tables(name):
-    build, values, fits, model_hash = _PINNED[name]
+    build, values, powers, model_hash = _PINNED[name]
     tbl = build()
     assert tbl.values.tolist() == values
-    assert tbl.tail_fits == fits
+    assert tbl.tail_powers == powers
     assert tbl.model_hash == model_hash

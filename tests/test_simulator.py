@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ergodiff.simulator as simulator
-from ergodiff.diffusion import DiffusionModel, brownian, ou
+from ergodiff.diffusion import DiffusionModel, ou
 from ergodiff.errors import (ConfigError, DomainError, EvaluationError,
                              ExcessCensoringError, InsufficientCyclesError,
                              NumericalBlowupError)
@@ -94,9 +94,8 @@ def _ou_callable_sigma() -> DiffusionModel:
 def test_constant_sigma_gives_the_callable_sigma_paths(crossing):
     cfg = _cfg(step=5e-3, horizon=10.0, replicas=300, seed=22,
                crossing=crossing)
-    for target, second in ((0.0, None), (-1.0, 1.0)):
-        got, want = (estimate_hitting_moments(m, cfg, 0.5, target, (1, 2),
-                                              second)
+    for target in (0.0, -1.0):
+        got, want = (estimate_hitting_moments(m, cfg, 0.5, target, (1, 2))
                      for m in (ou(1.0), _ou_callable_sigma()))
         assert got == want
     got, want = (_batch_bytes(simulate_paths(m, cfg, INDICATOR,
@@ -136,27 +135,6 @@ def test_excess_censoring():
     with pytest.raises(ExcessCensoringError):
         estimate_hitting_moments(m, _cfg(horizon=0.05, replicas=100),
                                  0.0, 3.5, (1,))
-
-
-def test_brownian_exit_moments_vs_closed_forms():
-    bm = brownian()
-    cfg = _cfg(replicas=4000, horizon=15.0, a=0.0, b=1.0, crossing="bridge")
-    e1, e2 = estimate_hitting_moments(bm, cfg, 0.5, 0.0, (1, 2),
-                                      second_target=1.0)
-    assert abs(e1.estimate - 0.25) <= 3.5 * e1.stderr
-    assert abs(e2.estimate - 5.0 / 48.0) <= 3.5 * e2.stderr
-    assert e1.censored_fraction == 0.0
-
-
-def test_ou_exit_mean_vs_quadrature():
-    from ergodiff.kac import mean_exit_time
-    m = ou(1.0)
-    cfg = _cfg(replicas=4000, horizon=15.0, a=-1.0, b=1.0, initial=0.0,
-               crossing="bridge", seed=13)
-    est = estimate_hitting_moments(m, cfg, 0.0, -1.0, (1,),
-                                   second_target=1.0)[0]
-    assert abs(est.estimate - mean_exit_time(m, -1.0, 1.0, 0.0)) \
-        <= 3.0 * est.stderr
 
 
 def test_step_halving_stability():
@@ -423,12 +401,12 @@ PINNED_HITTING = {
     # (crossing, x0): (E T, its stderr, E T^2, replicas used)
     ("interpolate", 0.5): (0.7382907138488997, 0.011905570632724667,
                            1.2794464546205455, 4500),
-    ("interpolate", 0.0): (1.6105025721534092, 0.022339940836791042,
-                           4.464505494884595, 4497),
+    ("interpolate", 0.0): (3.1678451900602456, 0.03968890244026017,
+                           16.524122210280694, 4026),
     ("bridge", 0.5): (0.6730585773862916, 0.012042681658090092,
                       1.0927186600820502, 4500),
-    ("bridge", 0.0): (1.4363570651206399, 0.01853975558556322,
-                      3.548355961089132, 4500),
+    ("bridge", 0.0): (3.027554712958039, 0.03912885549362386,
+                      15.492368650521074, 4115),
 }
 PINNED_REGENERATION = {
     # (crossing, run): (sum r_times, sum cycle_integrals, sum additive_at,
@@ -448,13 +426,12 @@ PINNED_REGENERATION = {
                          ids=lambda k: f"{k[0]}-x0={k[1]:g}")
 def test_pinned_hitting_outputs(key):
     # 4500 replicas: one full RNG block and a partial one; x0 = 0 is the
-    # two-sided exit from (-1, 1), x0 = 0.5 the hit of 0
+    # hit of -1 (about a tenth censored), x0 = 0.5 the hit of 0
     crossing, x0 = key
     cfg = _cfg(step=5e-3, horizon=10.0, replicas=4500, seed=21,
                crossing=crossing)
-    second = 1.0 if x0 == 0.0 else None
-    e1, e2 = estimate_hitting_moments(ou(1.0), cfg, x0, -1.0 if second else 0.0,
-                                      (1, 2), second)
+    target = -1.0 if x0 == 0.0 else 0.0
+    e1, e2 = estimate_hitting_moments(ou(1.0), cfg, x0, target, (1, 2))
     mean, se, second_moment, used = PINNED_HITTING[key]
     assert e1.estimate == pytest.approx(mean, rel=1e-12)
     assert e1.stderr == pytest.approx(se, rel=1e-12)
@@ -579,7 +556,7 @@ def _hitting_times(replicas: int, crossing: str) -> np.ndarray:
     cfg = _cfg(step=5e-3, horizon=10.0, replicas=replicas, seed=21,
                crossing=crossing)
     return np.concatenate([
-        simulator._hit_block(ou(1.0), cfg, 0.5, (0.0,), block, n_rep)
+        simulator._hit_block(ou(1.0), cfg, 0.5, 0.0, block, n_rep)
         for block, n_rep in simulator._block_layout(replicas)])
 
 
@@ -604,14 +581,12 @@ def _hitting_run(crossing: str, run: str):
     # 4500 replicas: two RNG blocks
     cfg = _cfg(step=5e-3, horizon=10.0, replicas=4500, seed=21,
                crossing=crossing)
-    second = 1.0 if run == "two barriers" else None
-    return estimate_hitting_moments(ou(1.0), cfg, 0.5, 0.0, (1, 2), second)
+    return estimate_hitting_moments(ou(1.0), cfg, 0.5, 0.0, (1, 2))
 
 
 BLOCK_LENGTH_RUNS = {
     "checkpoints": _regeneration_run, "max_cycles=1": _regeneration_run,
-    "max_cycles=2": _regeneration_run,
-    "one barrier": _hitting_run, "two barriers": _hitting_run,
+    "max_cycles=2": _regeneration_run, "one barrier": _hitting_run,
 }
 
 
