@@ -209,16 +209,15 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
     c_f = math.nan if cfg.f.support is None else first_block_sup(
         cfg.model, cfg.sim.a, cfg.sim.b, cfg.f.fn, cfg.f.support)
 
-    # with one SimConfig for both estimators, one run serves both: the
-    # checkpoints only read the running integral, not the paths
-    batch = None
+    # the checkpoints only read the running integral, not the paths, so the
+    # constants read this run too unless they ask for another replica count
+    batch = simulate_paths(cfg.model, cfg.sim, cfg.f.fn, checkpoints=cfg.t_grid)
     if cfg.constants_replicas in (None, cfg.sim.replicas):
-        const_cfg = cfg.sim
-        batch = simulate_paths(cfg.model, cfg.sim, cfg.f.fn,
-                               checkpoints=cfg.t_grid)
+        est = estimate_constants(batch, p)
     else:
-        const_cfg = replace(cfg.sim, replicas=cfg.constants_replicas)
-    est = estimate_constants(cfg.model, const_cfg, cfg.f.fn, p, batch=batch)
+        est = estimate_constants(simulate_paths(
+            cfg.model, replace(cfg.sim, replicas=cfg.constants_replicas),
+            cfg.f.fn), p)
     consts = DeviationConstants(
         l=est.l_hat.value, p=p, c_p=c_p,
         r1_centered_halfp=est.r1_centered_halfp.value,
@@ -254,8 +253,7 @@ def cmd_deviation(cfg: ExperimentConfig) -> int:
             w.writerow([name, _fmt(v.value), _fmt(v.se)]
                        if isinstance(v, Estimate) else [name, _fmt(v), ""])
 
-    emp = estimate_deviation_prob(cfg.model, cfg.sim, cfg.f.fn,
-                                  cfg.t_grid, cfg.eps_grid, mu_f, batch=batch)
+    emp = estimate_deviation_prob(batch, cfg.eps_grid, mu_f)
 
     reports: list[DeviationReport] = []
     uncertainty: list[float] = []
@@ -376,8 +374,8 @@ def cmd_selftest() -> int:
     m = ou(1.0)
     cfg = SimConfig(step=2e-3, horizon=80.0, replicas=40, seed=123,
                     a=-0.5, b=0.5, initial=0.0)
-    est = estimate_constants(
-        m, cfg, lambda x: np.where(np.abs(x) <= 0.5, 1.0, 0.0), 2.0)
+    est = estimate_constants(simulate_paths(
+        m, cfg, lambda x: np.where(np.abs(x) <= 0.5, 1.0, 0.0)), 2.0)
     prod = est.l_hat.value * est.mean_cycle_time.value
     check("cycle-rate identity l*E_a R1 ~ 1", abs(prod - 1.0) < 0.1)
 

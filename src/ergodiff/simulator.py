@@ -11,7 +11,7 @@ One time-blocked kernel, ``_euler_block``, serves both drivers.  Per step it
 evaluates the coefficients and takes the Euler step into a (K + 1, rows)
 trajectory (and stores sigma^2 for the bridge test); the crossing tests, the
 crossing fractions (on the crossing entries only), f on one flat array, the
-running integrals (cumulative sums in step order, bitwise those of an
+running integral (a cumulative sum in step order, bitwise that of an
 in-place +=), checkpoints and event records run once per block of K steps,
 about _CELLS cells, never across a noise chunk.  Outputs do not depend on K.
 The hitting driver tests its fixed level: a replica's hit is its first
@@ -41,6 +41,9 @@ to its last live row; every replica's path is a pure function of (seed,
 replica index) -- independent of how many replicas run and of which lanes
 and rows are drawn.  Blocks run one after another in index order, so
 results are bitwise reproducible.
+
+The estimators simulate nothing: each reads one ``simulate_paths`` result,
+whose horizon, checkpoints and ``max_cycles`` it carries.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ _KIND_INITIAL = 2
 _KIND_AUX = 3
 
 CROSSING_RULES = ("interpolate", "bridge")
-_NO_ROWS, _NO_FRACS = np.zeros(0, dtype=np.intp), np.zeros(0)  # no crossing
 
 
 def _stream(seed: int, block: int, kind: int, chunk: int) -> np.random.Generator:
@@ -155,6 +157,8 @@ class SimConfig:
             raise ConfigError("step must be positive and finite")
         if not self.step <= self.horizon < math.inf:
             raise ConfigError("horizon must be finite and cover one step")
+        if abs(self.n_steps * self.step - self.horizon) > 1e-9 * self.horizon:
+            raise ConfigError("horizon must be a whole number of steps")
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
         if self.seed < 0:
@@ -180,7 +184,7 @@ class RegenerationSample:
     r_times: np.ndarray
     s_times: np.ndarray
     cycle_integrals: np.ndarray       # xi_n = int_{R_n}^{R_(n+1)} f, n >= 1
-    first_block_abs: float            # int_0^{R_1} |f| (nan if R_1 censored)
+    first_block: float                # int_0^{R_1} f (nan if R_1 censored)
     n_t: int
     additive_integral: float          # int_0^horizon f
     horizon: float
@@ -191,6 +195,8 @@ class BatchResult:
     samples: list
     checkpoints: np.ndarray
     additive_at: np.ndarray    # shape (replicas, n_checkpoints)
+    horizon: float
+    max_cycles: int | None     # replicas frozen at that many R-events
 
 
 @dataclass(frozen=True)
@@ -442,7 +448,7 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
                  n_rep: int, cp_steps: np.ndarray, max_cycles: int | None):
     """Regeneration paths of one RNG block.
 
-    Per kernel block, f, the running integrals (cumulative sums in step
+    Per kernel block, f, the running integral (a cumulative sum in step
     order) and the events run on whole arrays.  Full-horizon runs test both
     levels over the block and walk each row's alternating events; with
     ``max_cycles`` a row may not step past its last event, so the kernel
@@ -455,18 +461,15 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     idx = np.arange(n_rep)
     level = np.full(n_rep, cfg.b)             # each live row waits for b, then a
     cum_f = np.zeros(n_rep)
-    cum_fabs = np.zeros(n_rep)
     anchor_f = np.zeros(n_rep)                # int_0^{R_n} f at the last R_n
-    first_fabs = np.full(n_rep, np.nan)
     n_r = np.zeros(n_rep, dtype=np.int64)
     s_rep, s_time = [], []                    # S-event records
     r_rep, r_time, r_cyc = [], [], []         # R-event records
     additive = np.zeros((n_rep, cp_steps.size))
     stop = max_cycles is not None             # rows leave at their events
-    bridge = cfg.crossing == "bridge"
-    t_buf, s2_buf, f_buf, fa_buf = _block_buffers(n_rep, 4)
+    t_buf, s2_buf, f_buf = _block_buffers(n_rep, 3)
 
-    def record(step0, k, cols, theta, fx, F, FA):
+    def record(step0, k, cols, theta, fx, F):
         """Events of rows ``cols`` at block steps k, one per row."""
         te = (step0 + k) * h + theta * h
         at_b = level[cols] == cfg.b
@@ -476,9 +479,6 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
         pk, pc, th = k[at_a], cols[at_a], theta[at_a]
         g = idx[pc]
         pf = F[pk, pc] + fx[pk, pc] * th * h
-        pfa = FA[pk, pc] + np.abs(fx[pk, pc]) * th * h
-        first = n_r[g] == 0
-        first_fabs[g[first]] = pfa[first]
         r_rep.append(g)
         r_time.append(te[at_a])
         r_cyc.append(pf - anchor_f[g])        # at R_1: the first block
@@ -496,7 +496,7 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
             K = _block_len(n, Z.shape[1] - j)
             T = _shaped(t_buf, K + 1, n)
             T[0] = x
-            S2 = _shaped(s2_buf, K, n) if bridge and not stop else None
+            S2 = None if U is None or stop else _shaped(s2_buf, K, n)
             u = None if U is None else U[live, j:j + K].T
             K, last = _euler_block(model, cfg, T, Z[live, j:j + K].T, S2,
                                    level if stop else None, u)
@@ -505,14 +505,11 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
             x = T[K]
             T = T[:K + 1]
             fx = fv(T[:K].reshape(-1)).reshape(K, n)
-            F, FA = _shaped(f_buf, K + 1, n), _shaped(fa_buf, K + 1, n)
-            F[0], FA[0] = cum_f[live], cum_fabs[live]
+            F = _shaped(f_buf, K + 1, n)
+            F[0] = cum_f[live]
             np.multiply(fx, h, out=F[1:])
-            np.abs(fx, out=FA[1:])
-            FA[1:] *= h
             np.cumsum(F, axis=0, out=F)       # adds in step order, as += does
-            np.cumsum(FA, axis=0, out=FA)
-            cum_f[live], cum_fabs[live] = F[K], FA[K]
+            cum_f[live] = F[K]
             for ci in np.flatnonzero((cp_steps > step0)
                                      & (cp_steps <= step0 + K)):
                 additive[:, ci] = F[cp_steps[ci] - step0]
@@ -522,11 +519,11 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
                     None if u is None else u[:K], h) for lvl in (cfg.a, cfg.b))
                 for k, cols, theta in _level_walk(level, cfg.b, tests_a,
                                                   tests_b):
-                    record(step0, k, cols, theta, fx, F, FA)
+                    record(step0, k, cols, theta, fx, F)
             elif last is not None:
                 cols = last[3].nonzero()[0]
                 done = record(step0, np.full(cols.size, K - 1), cols,
-                              _fractions(last, (cols,)), fx, F, FA)
+                              _fractions(last, (cols,)), fx, F)
                 if done.size:
                     x, idx, level = (np.delete(v, done)
                                      for v in (x, idx, level))
@@ -537,26 +534,12 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     r_times, cycles = _split_by_replica(r_rep, n_rep, r_time, r_cyc)
     samples = [RegenerationSample(
         r_times=r_times[g], s_times=s_times[g],
-        cycle_integrals=cycles[g][1:],        # drop the first block
-        first_block_abs=float(first_fabs[g]), n_t=int(n_r[g]),
+        cycle_integrals=cycles[g][1:],
+        first_block=float(cycles[g][0]) if n_r[g] else math.nan,
+        n_t=int(n_r[g]),
         additive_integral=float(cum_f[g]), horizon=cfg.horizon)
         for g in range(n_rep)]
     return samples, additive
-
-
-def _checkpoint_steps(cfg: SimConfig, checkpoints) -> np.ndarray:
-    """Checkpoint times snapped to the step grid, as sorted unique steps."""
-    cps = np.asarray(sorted(checkpoints), dtype=float)
-    return np.unique(np.round(cps / cfg.step).astype(np.int64))
-
-
-def _check_batch(batch: BatchResult, cfg: SimConfig):
-    """A shared batch must be the full-horizon run of cfg."""
-    if len(batch.samples) != cfg.replicas \
-            or batch.samples[0].horizon != cfg.horizon:
-        raise ConfigError(
-            f"batch holds {len(batch.samples)} paths, not the "
-            f"{cfg.replicas}-replica run to horizon {cfg.horizon:g}")
 
 
 def simulate_paths(model: DiffusionModel, cfg: SimConfig, f,
@@ -569,7 +552,8 @@ def simulate_paths(model: DiffusionModel, cfg: SimConfig, f,
     ``max_cycles`` freezes a replica once it has recorded that many R-events
     (an efficiency device when only the first cycles matter).
     """
-    cp_steps = _checkpoint_steps(cfg, checkpoints)
+    cp_steps = np.unique(np.round(np.asarray(checkpoints, dtype=float)
+                                  / cfg.step).astype(np.int64))  # sorted
     if cp_steps.size and (cp_steps[0] < 1 or cp_steps[-1] > cfg.n_steps):
         raise ConfigError("checkpoints must lie in (0, horizon]")
     if cp_steps.size and max_cycles is not None:
@@ -580,7 +564,8 @@ def simulate_paths(model: DiffusionModel, cfg: SimConfig, f,
                                       max_cycles), cfg)
     samples = [s for block_samples, _ in parts for s in block_samples]
     additive = np.vstack([p[1] for p in parts]) if parts else np.zeros((0, 0))
-    return BatchResult(samples, cp_steps * cfg.step, additive)
+    return BatchResult(samples, cp_steps * cfg.step, additive, cfg.horizon,
+                       max_cycles)
 
 
 # -- estimators ---------------------------------------------------------------
@@ -593,6 +578,11 @@ def _batch_se(values: np.ndarray, n_batches: int = 32) -> float:
     nb = min(n_batches, n)
     means = np.array([np.mean(s) for s in np.array_split(values, nb)])
     return float(np.std(means, ddof=1) / math.sqrt(nb))
+
+
+def _mean(values: np.ndarray) -> Estimate:
+    """Sample mean with its batch-means standard error."""
+    return Estimate(float(np.mean(values)), _batch_se(values))
 
 
 def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
@@ -634,28 +624,22 @@ def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
     return out
 
 
-def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
-                       *, batch: BatchResult | None = None
-                       ) -> MomentEstimates:
+def estimate_constants(batch: BatchResult, p: float) -> MomentEstimates:
     """Estimate the cycle-moment inputs of the deviation bounds from one
-    full-horizon run.
+    full-horizon ``simulate_paths`` run (its checkpoints do not matter).
 
     The cycle rate is total completed cycles over total simulated time; the
     mean-cycle identity and the invariant-average identity then hold up to
     Monte Carlo error and a renewal edge effect of order (cycle length) /
     horizon.  The cycle-integral constant c_f of the L1 bound is exact, from
     ``kac.first_block_sup``.
-
-    ``batch`` is an existing ``simulate_paths(model, cfg, f, ...)`` result
-    to read the cycles from in place of a new run (checkpoints do not
-    change the paths).
     """
     if p <= 1:
         raise DomainError("need p > 1")
-    if batch is None:
-        batch = simulate_paths(model, cfg, f)
-    else:
-        _check_batch(batch, cfg)
+    if batch.max_cycles is not None:
+        raise ConfigError("the constants need a full-horizon run: replicas "
+                          "frozen by max_cycles would truncate the cycle count")
+    horizon = batch.horizon
     samples = [s for s in batch.samples if len(s.r_times) >= 2]
     lacking = len(batch.samples) - len(samples)
     if lacking > 0.02 * len(batch.samples):
@@ -666,8 +650,8 @@ def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
     # size the horizon so this stays at zero when the moments matter)
 
     n_t = np.array([s.n_t for s in samples], dtype=float)
-    l_hat = float(np.sum(n_t) / (len(samples) * cfg.horizon))
-    l_se = _batch_se(n_t / cfg.horizon)
+    l_hat = float(np.sum(n_t) / (len(samples) * horizon))
+    l_se = _batch_se(n_t / horizon)
     inv_l = 1.0 / l_hat
 
     r1 = np.array([s.r_times[0] for s in samples])
@@ -689,72 +673,51 @@ def estimate_constants(model: DiffusionModel, cfg: SimConfig, f, p: float,
     a_r = np.array([np.sum(s.cycle_integrals) for s in samples])
     c_r = np.array([s.cycle_integrals.size for s in samples], dtype=float)
     n_bar = float(np.mean(n_t))
-    resid = n_bar / (float(np.mean(c_r)) * cfg.horizon) \
-        * (a_r - xi_mean * c_r) + xi_mean / cfg.horizon * (n_t - n_bar)
+    resid = n_bar / (float(np.mean(c_r)) * horizon) \
+        * (a_r - xi_mean * c_r) + xi_mean / horizon * (n_t - n_bar)
     mu_se = _batch_se(resid)
 
     return MomentEstimates(
-        p=p,
-        l_hat=Estimate(l_hat, l_se),
-        r1_centered_halfp=Estimate(float(np.mean(r1_centered)),
-                                   _batch_se(r1_centered)),
-        r1_halfp=Estimate(float(np.mean(r1_halfp)), _batch_se(r1_halfp)),
-        eta_p=Estimate(float(np.mean(eta)), _batch_se(eta)),
-        r1_p_at_a=Estimate(float(np.mean(gap_p_pooled)),
-                           _batch_se(gap_p_pooled)),
-        cycle_gap_p=Estimate(float(np.mean(gap_p_first)),
-                             _batch_se(gap_p_first)),
-        mu_f_hat=Estimate(mu_hat, mu_se),
-        mean_cycle_time=Estimate(float(np.mean(all_gaps)), _batch_se(all_gaps)),
-        n_cycles=int(all_gaps.size),
+        p=p, l_hat=Estimate(l_hat, l_se),
+        r1_centered_halfp=_mean(r1_centered), r1_halfp=_mean(r1_halfp),
+        eta_p=_mean(eta), r1_p_at_a=_mean(gap_p_pooled),
+        cycle_gap_p=_mean(gap_p_first), mu_f_hat=Estimate(mu_hat, mu_se),
+        mean_cycle_time=_mean(all_gaps), n_cycles=int(all_gaps.size),
     )
 
 
 def _check_deviation_grid(cfg: SimConfig, t_grid, eps_grid):
-    """Raise ConfigError unless estimate_deviation_prob accepts the grids."""
+    """Raise ConfigError unless a run of cfg with checkpoints t_grid can
+    serve estimate_deviation_prob with eps_grid."""
     if len(t_grid) == 0 or len(eps_grid) == 0:
         raise ConfigError("t_grid and eps_grid must be nonempty")
+    if not np.round(np.min(t_grid) / cfg.step) >= 1:   # fails on NaN too
+        raise ConfigError("every t must round to at least one step")
     if np.max(t_grid) > cfg.horizon + 1e-9:
         raise ConfigError("horizon shorter than max(t_grid)")
     if cfg.replicas < 100:
         raise ConfigError("deviation estimation needs >= 100 replicas")
 
 
-def estimate_deviation_prob(model: DiffusionModel, cfg: SimConfig, f,
-                            t_grid, eps_grid, mu_f: float,
-                            *, batch: BatchResult | None = None
+def estimate_deviation_prob(batch: BatchResult, eps_grid, mu_f: float
                             ) -> EmpiricalDeviation:
-    """Empirical P(|t^-1 int_0^t f - mu(f)| > eps) over a (t, eps) grid.
+    """Empirical P(|t^-1 int_0^t f - mu(f)| > eps) at each checkpoint t of
+    ``batch`` (a ``simulate_paths`` run) and each eps.
 
     Binomial 95% half-widths; zero-count cells get the rule-of-three width
-    3/n.  The horizon must cover max(t_grid).  ``batch`` is an existing
-    ``simulate_paths(model, cfg, f, checkpoints=t_grid)`` result to read in
-    place of a new run.
+    3/n.
     """
-    t_grid = np.asarray(sorted(t_grid), dtype=float)
-    eps_grid = np.asarray(sorted(eps_grid), dtype=float)
-    _check_deviation_grid(cfg, t_grid, eps_grid)
-    if batch is None:
-        batch = simulate_paths(model, cfg, f, checkpoints=t_grid)
-    else:
-        _check_batch(batch, cfg)
-        if not np.array_equal(batch.checkpoints,
-                              _checkpoint_steps(cfg, t_grid) * cfg.step):
-            raise ConfigError("batch checkpoints differ from the t_grid")
     times = batch.checkpoints  # snapped to the step grid, duplicates merged
-    n = cfg.replicas
-    freq = np.zeros((times.size, eps_grid.size))
-    hw = np.zeros_like(freq)
-    for i, t in enumerate(times):
-        avg = batch.additive_at[:, i] / t
-        dev = np.abs(avg - mu_f)
-        for j, eps in enumerate(eps_grid):
-            phat = float(np.mean(dev > eps))
-            freq[i, j] = phat
-            if 0.0 < phat < 1.0:
-                hw[i, j] = 1.96 * math.sqrt(phat * (1 - phat) / n)
-            else:
-                hw[i, j] = 3.0 / n
+    eps_grid = np.asarray(sorted(eps_grid), dtype=float)
+    n = len(batch.samples)
+    if times.size == 0 or eps_grid.size == 0:
+        raise ConfigError("checkpoints and eps_grid must be nonempty")
+    if n < 100:
+        raise ConfigError("deviation estimation needs >= 100 replicas")
+    dev = np.abs(batch.additive_at / times - mu_f)
+    freq = np.mean(dev[:, :, None] > eps_grid, axis=0)
+    inside = (0.0 < freq) & (freq < 1.0)
+    hw = np.where(inside, 1.96 * np.sqrt(freq * (1 - freq) / n), 3.0 / n)
     return EmpiricalDeviation(times, eps_grid, freq, hw, n)
 
 
@@ -763,6 +726,5 @@ def nu_moment_estimate(law: InitialLaw, exponent: float, n: int = 20000,
     """Empirical int |x|^exponent dnu from the law's own sampler."""
     gen = _stream(seed, 0, _KIND_AUX, 0)
     xs = law.sample(gen, n)
-    vals = np.abs(xs) ** exponent
-    return Estimate(float(np.mean(vals)), _batch_se(vals))
+    return _mean(np.abs(xs) ** exponent)
 

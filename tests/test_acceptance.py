@@ -115,7 +115,7 @@ def test_criterion_4_polynomial_moment_domination():
 def test_criterion_5_regeneration_identities(ou1):
     cfg = SimConfig(step=1e-3, horizon=600.0, replicas=80, seed=505,
                     a=-0.5, b=0.5, initial=-0.5)
-    est = estimate_constants(ou1, cfg, INDICATOR, 2.0)
+    est = estimate_constants(simulate_paths(ou1, cfg, INDICATOR), 2.0)
     assert est.n_cycles >= 10_000
     prod = est.l_hat.value * est.mean_cycle_time.value
     se_prod = prod * math.hypot(est.l_hat.se / est.l_hat.value,
@@ -136,13 +136,13 @@ def test_criterion_5_regeneration_identities(ou1):
 def deviation_run(ou1):
     ccfg = SimConfig(step=1e-3, horizon=150.0, replicas=400, seed=606,
                      a=-0.5, b=0.5, initial=-0.5)
-    est = estimate_constants(ou1, ccfg, INDICATOR, 2.0)
+    est = estimate_constants(simulate_paths(ou1, ccfg, INDICATOR), 2.0)
     c_f = first_block_sup(ou1, ccfg.a, ccfg.b, INDICATOR, (-0.5, 0.5))
     dcfg = SimConfig(step=1e-3, horizon=400.0, replicas=1000, seed=707,
                      a=-0.5, b=0.5, initial=-0.5)
-    emp = estimate_deviation_prob(ou1, dcfg, INDICATOR,
-                                  [50.0, 100.0, 200.0, 400.0],
-                                  [0.05, 0.1, 0.2], MU_INDICATOR)
+    batch = simulate_paths(ou1, dcfg, INDICATOR,
+                           checkpoints=[50.0, 100.0, 200.0, 400.0])
+    emp = estimate_deviation_prob(batch, [0.05, 0.1, 0.2], MU_INDICATOR)
     return est, c_f, emp
 
 

@@ -386,7 +386,9 @@ def test_cmd_deviation_empty_t_grid(tmp_path, capsys):
 
 @pytest.mark.parametrize("change", [("horizon = 20", "horizon = 15"),
                                     ("replicas = 2400", "replicas = 99"),
-                                    ("p = 2", "p = 1")])
+                                    ("p = 2", "p = 1"),
+                                    ("t_grid = 10, 20", "t_grid = 0, 20"),
+                                    ("t_grid = 10, 20", "t_grid = nan, 20")])
 def test_cmd_deviation_fails_before_simulating(tmp_path, monkeypatch, change):
     def no_run(*args, **kwargs):
         raise AssertionError("simulated before the config checks")

@@ -105,7 +105,7 @@ def test_first_block_sup_matches_monte_carlo(name):
     cfg = SimConfig(step=2e-3, horizon=40.0, replicas=2000, seed=11,
                     a=-0.5, b=0.5, initial=x0, crossing="bridge")
     batch = simulate_paths(model, cfg, f, max_cycles=1)
-    fb = np.array([s.first_block_abs for s in batch.samples])
+    fb = np.array([s.first_block for s in batch.samples])
     assert np.all(np.isfinite(fb))      # every first block completed
     se = float(np.std(fb, ddof=1)) / math.sqrt(fb.size)
     exact = first_block_sup(model, cfg.a, cfg.b, f, (lo, hi))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +34,8 @@ def test_config_validation():
         _cfg(replicas=0)
     with pytest.raises(ConfigError):
         _cfg(crossing="teleport")
+    with pytest.raises(ConfigError):   # 2.5 steps: a run would cover 0.8
+        _cfg(step=0.4, horizon=1.0)
 
 
 def test_initial_law_coercion_and_sampling():
@@ -160,10 +161,10 @@ def test_counting_self_consistency():
     # N_T / T from a batch matches the cycle rate from an independent,
     # longer run within 3 combined standard errors
     m = ou(1.0)
-    short = estimate_constants(m, _cfg(replicas=120, horizon=60.0),
-                               INDICATOR, 2.0)
-    long_ = estimate_constants(m, _cfg(replicas=60, horizon=150.0, seed=77),
-                               INDICATOR, 2.0)
+    short = estimate_constants(simulate_paths(
+        m, _cfg(replicas=120, horizon=60.0), INDICATOR), 2.0)
+    long_ = estimate_constants(simulate_paths(
+        m, _cfg(replicas=60, horizon=150.0, seed=77), INDICATOR), 2.0)
     se = math.hypot(short.l_hat.se, long_.l_hat.se)
     assert abs(short.l_hat.value - long_.l_hat.value) <= 3.0 * se
 
@@ -171,25 +172,34 @@ def test_counting_self_consistency():
 def test_insufficient_cycles():
     m = ou(1.0)
     with pytest.raises(InsufficientCyclesError):
-        estimate_constants(m, _cfg(replicas=30, horizon=1.0), INDICATOR, 2.0)
+        estimate_constants(simulate_paths(
+            m, _cfg(replicas=30, horizon=1.0), INDICATOR), 2.0)
+
+
+def test_constants_refuse_a_max_cycles_batch():
+    # frozen replicas stop counting cycles, which would bias l_hat low
+    batch = simulate_paths(ou(1.0), _cfg(replicas=30, horizon=10.0),
+                           INDICATOR, max_cycles=2)
+    with pytest.raises(ConfigError):
+        estimate_constants(batch, 2.0)
 
 
 def test_constants_trivial_f_zero():
     m = ou(1.0)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     cfg = _cfg(replicas=60, horizon=60.0)
-    est = estimate_constants(m, cfg, zero, 2.0)
+    est = estimate_constants(simulate_paths(m, cfg, zero), 2.0)
     assert est.mu_f_hat.value == 0.0
     assert first_block_sup(m, cfg.a, cfg.b, zero, (-1.0, 1.0)) == 0.0
 
 
 def test_cycle_moment_growth_bound():
     # empirical first-block moments obey E(int_0^R1 |f|)^n <= n! c_f^n
-    # up to statistical slack
+    # up to statistical slack (f >= 0 here, so int_0^R1 f is that integral)
     m = ou(1.0)
     cfg = _cfg(replicas=400, horizon=60.0, initial=0.0)
     batch = simulate_paths(m, cfg, INDICATOR)
-    fb = np.array([s.first_block_abs for s in batch.samples])
+    fb = np.array([s.first_block for s in batch.samples])
     fb = fb[np.isfinite(fb)]
     c_f = first_block_sup(m, cfg.a, cfg.b, INDICATOR, (-0.5, 0.5))
     for n in (1, 2, 3):
@@ -278,7 +288,7 @@ def _batch_bytes(batch) -> list:
     arrays = [batch.checkpoints, batch.additive_at]
     for s in batch.samples:
         arrays += [s.r_times, s.s_times, s.cycle_integrals,
-                   np.array([s.first_block_abs, s.n_t, s.additive_integral])]
+                   np.array([s.first_block, s.n_t, s.additive_integral])]
     return [np.asarray(a, dtype=float).tobytes() for a in arrays]
 
 
@@ -312,8 +322,8 @@ def test_deviation_prob_trend_in_t():
     # empirical deviation frequencies fall with t, up to confidence slack
     m = ou(1.0)
     cfg = _cfg(replicas=400, horizon=60.0)
-    emp = estimate_deviation_prob(m, cfg, INDICATOR, [10.0, 60.0], [0.1],
-                                  mu_f=0.5205)
+    batch = simulate_paths(m, cfg, INDICATOR, checkpoints=[10.0, 60.0])
+    emp = estimate_deviation_prob(batch, [0.1], mu_f=0.5205)
     slack = emp.halfwidth[0, 0] + emp.halfwidth[1, 0]
     assert emp.freq[1, 0] <= emp.freq[0, 0] + slack
 
@@ -321,22 +331,24 @@ def test_deviation_prob_trend_in_t():
 def test_deviation_prob_impossible_epsilon():
     m = ou(1.0)
     cfg = _cfg(replicas=120, horizon=10.0)
-    emp = estimate_deviation_prob(m, cfg, INDICATOR, [5.0, 10.0],
-                                  [0.5, 2.5], mu_f=0.5205)
+    batch = simulate_paths(m, cfg, INDICATOR, checkpoints=[5.0, 10.0])
+    emp = estimate_deviation_prob(batch, [0.5, 2.5], mu_f=0.5205)
     assert np.all(emp.freq[:, 1] == 0.0)  # eps > 2 sup|f| is impossible
 
 
 def test_deviation_prob_validation():
     m = ou(1.0)
     with pytest.raises(ConfigError):
-        estimate_deviation_prob(m, _cfg(replicas=120), INDICATOR, [],
-                                [0.1], 0.5)
+        estimate_deviation_prob(simulate_paths(
+            m, _cfg(replicas=120, horizon=5.0), INDICATOR), [0.1], 0.5)
     with pytest.raises(ConfigError):
-        estimate_deviation_prob(m, _cfg(replicas=120, horizon=5.0), INDICATOR,
-                                [10.0], [0.1], 0.5)
+        estimate_deviation_prob(simulate_paths(
+            m, _cfg(replicas=120, horizon=5.0), INDICATOR, checkpoints=[10.0]),
+            [0.1], 0.5)
     with pytest.raises(ConfigError):
-        estimate_deviation_prob(m, _cfg(replicas=10), INDICATOR, [5.0],
-                                [0.1], 0.5)
+        estimate_deviation_prob(simulate_paths(
+            m, _cfg(replicas=10, horizon=5.0), INDICATOR, checkpoints=[5.0]),
+            [0.1], 0.5)
 
 
 def test_determinism_same_seed():
@@ -386,8 +398,8 @@ def test_invariant_average_se_keeps_cycle_covariance(seed):
     # and the cycle rate as independent
     m = ou(1.0)
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    est = estimate_constants(m, _cfg(replicas=64, horizon=60.0, seed=seed),
-                             one, 2.0)
+    est = estimate_constants(simulate_paths(
+        m, _cfg(replicas=64, horizon=60.0, seed=seed), one), 2.0)
     independent = math.hypot(est.mean_cycle_time.se * est.l_hat.value,
                              est.mean_cycle_time.value * est.l_hat.se)
     assert est.mu_f_hat.se < 0.5 * independent
@@ -410,7 +422,7 @@ PINNED_HITTING = {
 }
 PINNED_REGENERATION = {
     # (crossing, run): (sum r_times, sum cycle_integrals, sum additive_at,
-    #                   sum of finite first_block_abs)
+    #                   sum of finite first_block)
     ("interpolate", "checkpoints"): (3575.2197874144476, 679.4001494286049,
                                      2424.9899999999616, 543.9048090249223),
     ("interpolate", "max_cycles"): (2398.5598806322564, 436.9817333309296,
@@ -447,32 +459,11 @@ def test_pinned_regeneration_outputs(key):
     kw = dict(checkpoints=[5.0, 10.0]) if run == "checkpoints" \
         else dict(max_cycles=2)
     batch = simulate_paths(ou(1.0), cfg, INDICATOR, **kw)
-    fb = np.array([s.first_block_abs for s in batch.samples])
+    fb = np.array([s.first_block for s in batch.samples])
     got = (np.sum(np.concatenate([s.r_times for s in batch.samples])),
            np.sum(np.concatenate([s.cycle_integrals for s in batch.samples])),
            np.sum(batch.additive_at), np.sum(fb[np.isfinite(fb)]))
     assert got == pytest.approx(PINNED_REGENERATION[key], rel=1e-12)
-
-
-def test_shared_batch_matches_own_runs_and_must_fit():
-    m = ou(1.0)
-    cfg = _cfg(step=0.02, horizon=40.0, replicas=100)
-    batch = simulate_paths(m, cfg, INDICATOR, checkpoints=[20.0, 40.0])
-    emp = estimate_deviation_prob(m, cfg, INDICATOR, [40.0, 20.0], [0.1], 0.5,
-                                  batch=batch)
-    own = estimate_deviation_prob(m, cfg, INDICATOR, [40.0, 20.0], [0.1], 0.5)
-    assert np.array_equal(emp.freq, own.freq)
-    shared = estimate_constants(m, cfg, INDICATOR, 2.0, batch=batch)
-    assert repr(shared) == repr(estimate_constants(m, cfg, INDICATOR, 2.0))
-    with pytest.raises(ConfigError):
-        estimate_deviation_prob(m, cfg, INDICATOR, [20.0], [0.1], 0.5,
-                                batch=batch)
-    with pytest.raises(ConfigError):
-        estimate_constants(m, dataclasses.replace(cfg, replicas=120),
-                           INDICATOR, 2.0, batch=batch)
-    with pytest.raises(ConfigError):
-        estimate_constants(m, dataclasses.replace(cfg, horizon=30.0),
-                           INDICATOR, 2.0, batch=batch)
 
 
 class _RowCounter(np.random.Generator):
