@@ -32,7 +32,7 @@ from .bounds import (DeviationConstants, DeviationReport, MomentBoundParams,
 from .config import ExperimentConfig, load_config
 from .errors import (ConfigError, ErgodiffError, InconsistentParamsError,
                      RangeError)
-from .kac import first_block_sup, hitting_moment_table, simultaneity_check
+from .kac import first_block_sup, hitting_moment_table
 from .simulator import (Estimate, _check_deviation_grid, estimate_constants,
                         estimate_deviation_prob, simulate_paths)
 
@@ -112,10 +112,6 @@ def cmd_moments(cfg: ExperimentConfig) -> int:
     path = _out_path(cfg, "moments.csv")
     table.to_csv(path, header=_header(cfg))
     print(f"wrote {path}")
-    check = simultaneity_check(table) if cfg.x_grid.size >= 3 else None
-    if check is not None and not check.ok:
-        print("warning: finiteness not uniform across the grid "
-              "(numerical inconsistency)")
 
     overlay = cfg.assumptions is not None and cfg.assumptions.has_lower \
         and cfg.assumptions.has_upper

@@ -17,7 +17,8 @@ class QuadratureFailure(ErgodiffError):
 
 class NonConvergenceError(QuadratureFailure):
     """The error tolerance was not met within the bisection budget or at
-    floating-point panel resolution."""
+    floating-point panel resolution, or a moment table moved by more than
+    its tolerance when every panel was halved."""
 
 
 class EvaluationError(QuadratureFailure):
@@ -25,7 +26,9 @@ class EvaluationError(QuadratureFailure):
 
 
 class InterpolationError(ErgodiffError):
-    """Moment-table grid refinement did not reach the requested tolerance."""
+    """Moment-table grid refinement did not reach the requested tolerance.
+    No longer raised: a moment table that misses its tolerance raises
+    NonConvergenceError."""
 
 
 class RangeError(ErgodiffError):
@@ -52,8 +55,9 @@ class MissingMomentsError(ErgodiffError):
 
 
 class NumericalBlowupError(ErgodiffError):
-    """A simulated path left the configured guard interval; usually signals
-    simulation of a non-recurrent model."""
+    """A simulated path left the configured guard interval, which usually
+    signals simulation of a non-recurrent model; or a moment that the
+    tail verdict calls finite overflowed the float range."""
 
 
 class ExcessCensoringError(ErgodiffError):

@@ -4,10 +4,10 @@ and the integral over a ray with its verdict.
 ``cumulative_panels`` and ``Antiderivative`` evaluate running integrals at
 whole batches of points with one adaptive Gauss-Kronrod integral per gap
 (``quadrature._panel_integrals``, which meets each gap's tolerance or raises
-NonConvergenceError), which is what makes the repeated Green's function
-quadrature affordable.  Every gap's value depends only on its own endpoints,
-never on the other gaps of the batch, so results do not depend on how
-queries are batched or ordered.
+NonConvergenceError), which is what makes the scale exponent B affordable
+at every node of a moment table.  Every gap's value depends only on its own
+endpoints, never on the other gaps of the batch, so results do not depend
+on how queries are batched or ordered.
 
 ``tail`` integrates over a ray with the same engine on a geometric grid and
 adds the remainder beyond the grid from the integrand's endpoint power, the

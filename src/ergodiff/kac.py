@@ -1,30 +1,36 @@
-"""Hitting/exit-time moments by the generalized Kac recursion: the order-k
-moment curve is k times the integral of the order-(k-1) curve against the
-Green kernel and the speed density, taken as running integrals along a grid.
+"""Hitting/exit-time moments by the generalized Kac recursion on composite
+Gauss-Legendre panels (Greengard, SIAM J. Numer. Anal. 28(4), 1991).
 
-Exit and hitting tables share one recursion.  The one-sided kernel is the
-two-sided one with S(b) sent to infinity, so with rho = S(b) - S on (a, b)
-and rho = 1 on the ray [a, inf)
+u_k = E_x T^k solves L u_k = -k u_{k-1}, u_k(a) = 0, in the nested form
 
-    u_k = k [rho P + (S - S(a)) Q] / rho(a),
-    P(x) = int_a^x (S - S(a)) u_{k-1} m,   Q(x) = int_x^end rho u_{k-1} m.
+    u_k(x) = k int_a^x w,   w(z) = s(z) Q_k(z)
+           = int_z^top u_{k-1}(y) 2/sigma^2(y) e^{B(y)-B(z)} dy
+             + w(top) e^{B(top)-B(z)},
 
-Each curve is interpolated inside the next order's quadrature by a private
-shape-preserving cubic (PCHIP, ``_pchip``) that reproduces SciPy's
-``PchipInterpolator`` bit for bit, and the grid doubles until the requested
-values settle.  No tail is fitted on the ray: its grid runs out to 2^30
-times its reach (or until exp(+-B) leaves the float range), its far curves
-are interpolated as log u against log x, and Q is summed from the top down
-from the remainder beyond the last node, read from the endpoint power p of
-u_{k-1} m by the rule of ``gridfn.tail``.  p is the verdict: a divergent
-order makes that row and every higher one +inf, an inconclusive one raises
-InconclusiveError.  Hitting from below reflects the model through the
-target.
+so the recursion carries w = s Q_k, never s, m or S on their own.  Curves
+live on the panel nodes: inside a panel each running integral (of the
+source to the panel's top, of w from its bottom) is one product with a
+Legendre integration matrix, and nothing is interpolated.  Between panels w
+is passed down with the factor e^{B(hi)-B(lo)} and u is summed up from the
+target, so exp(+-B) never has to be representable on its own.
 
-Within one table, S and m are evaluated once per distinct node array: the
-GK15 nodes of a round's gaps are the same for every order, once for P and
-once for Q.  The memo lives for that one table only and keeps nothing on
-the model.
+Panels: 33 linear edges to the farthest start (or to b), every start an
+edge; on a ray, edges at ratio 2 out to 2^30 times that span (or 1 + |a|,
+if larger), cut at the first where B has fallen 100 below its value at the
+farthest start.  A panel is halved until B varies by at most 2 across it.
+
+On the ray [a, inf), w(top) = u_{k-1} 2/sigma^2 y / (-p-1) is the remainder
+beyond the last edge by the rule of ``gridfn._remainder``, with p the
+endpoint power of u_{k-1} m and y the distance from a.  p is the verdict: a
+divergent order makes its row and every higher one +inf, an inconclusive
+one raises InconclusiveError.  Hitting from below reflects the model
+through the target.  On an interval, w(b) = 0, and the solve with a zero
+source and w(b) = 1 gives the multiple of S - S(a) that makes u_k(b) = 0.
+
+Error control: each table is computed again with every panel halved and the
+halved one returned; a value that moves by more than ``rel_tol`` raises
+NonConvergenceError, and an order that the verdict calls finite but comes
+out non-finite raises NumericalBlowupError, so no row is mixed.
 
 The order-1 case with a source |f| in place of 1 gives the cycle-integral
 constant of the L1 deviation bound in closed form (``first_block_sup``).
@@ -35,16 +41,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss, legint, legvander
 
 from .diffusion import DiffusionModel
-from .errors import (DomainError, InconclusiveError, InterpolationError,
-                     NotPositiveRecurrentError)
-from .gridfn import _remainder, cumulative_panels
-from .quadrature import (QuadratureConfig, _panel_integrals, integrate_finite,
-                         vectorize_integrand)
+from .errors import (DomainError, InconclusiveError, NonConvergenceError,
+                     NotPositiveRecurrentError, NumericalBlowupError)
+from .gridfn import _remainder
+from .quadrature import integrate_finite, vectorize_integrand
 
 __all__ = [
     "MomentTable", "mean_exit_time", "first_block_sup", "exit_moment_table",
@@ -54,12 +59,22 @@ __all__ = [
 FROM_BELOW = "from_below"
 FROM_ABOVE = "from_above"
 
-# internal-grid sizing for moment tables
-_N_LINEAR = 97
-_N_GEOMETRIC = 49
-_TAIL_FACTOR = 8.0
-_LOG_SCALE_LIMIT = 600.0  # keep exp(+-B) representable on the working range
-_MAX_REFINEMENTS = 3
+# the panel rules of the module docstring
+_MAX_DB = 2.0
+_CUT = 100.0
+
+
+def _legendre(n: int) -> tuple:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], and the
+    matrices that map f at the nodes to int_-1^t f and int_t^1 f at each
+    node t, through the Legendre series of f (exact below degree n)."""
+    t, wts = leggauss(n)
+    to_series = (np.arange(n) + 0.5)[:, None] * legvander(t, n - 1).T * wts
+    left = legvander(t, n) @ legint(np.eye(n), lbnd=-1) @ to_series
+    return t, wts, left, wts - left
+
+
+_RULE = _legendre(16)  # 16 nodes per panel
 
 
 @dataclass
@@ -156,83 +171,17 @@ def first_block_sup(model: DiffusionModel, a: float, b: float, f,
     return max(from_below, from_above) + back
 
 
-def _interpolant(grid: np.ndarray, vals: np.ndarray,
-                 knee: float | None) -> Callable:
-    pch = _pchip(grid, vals)
-    i = grid.size if knee is None else int(np.searchsorted(grid, knee))
-    if i > grid.size - 2:
-        return lambda xs: np.maximum(pch(np.asarray(xs, dtype=float)), 0.0)
-    loglog = _pchip(np.log(grid[i:]), np.log(vals[i:]))
-
-    def interpolant(xs):  # xs: a float array of quadrature nodes
-        out = np.maximum(pch(xs), 0.0)
-        far = xs >= grid[i]
-        out[far] = np.exp(loglog(np.log(xs[far])))
-        return out
-    return interpolant
-
-
-def _edge_slope(h0, h1, m0, m1) -> float:
-    """Moler's one-sided three-point end derivative, with its two shape
-    fixes: 0 against the sign of the end slope m0, 3 m0 where the slopes
-    change sign and the estimate overshoots."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip(grid: np.ndarray, vals: np.ndarray) -> Callable:
-    """Shape-preserving piecewise cubic Hermite interpolant (PCHIP; Fritsch
-    & Carlson 1980, interior derivatives after Fritsch & Butland 1984)
-    through finite ``vals`` on the strictly increasing ``grid``, extrapolated
-    by the end cubics.
-
-    The arithmetic repeats SciPy's ``PchipInterpolator`` expression for
-    expression, so the two agree bit for bit: interior derivatives are the
-    weighted harmonic mean of the neighbouring slopes (0 where they change
-    sign or either is 0), the coefficients are ``CubicHermiteSpline``'s and
-    a value is summed from the constant term up with z = x - x_i raised by
-    repeated multiplication.
-    """
-    h = np.diff(grid)
-    slope = np.diff(vals) / h
-    d = np.empty_like(vals)
-    if grid.size == 2:
-        d[:] = slope[0]
-    else:
-        m0, m1, h0, h1 = slope[:-1], slope[1:], h[:-1], h[1:]
-        flat = (np.sign(m1) != np.sign(m0)) | (m1 == 0) | (m0 == 0)
-        w1, w2 = 2 * h1 + h0, h1 + 2 * h0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / m0 + w2 / m1) / (w1 + w2)
-            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-        d[0] = _edge_slope(h[0], h[1], slope[0], slope[1])
-        d[-1] = _edge_slope(h[-1], h[-2], slope[-1], slope[-2])
-    t = (d[:-1] + d[1:] - 2 * slope) / h
-    c0, c1, c2, c3 = t / h, (slope - d[:-1]) / h - t, d[:-1], vals[:-1]
-    last = grid.size - 2
-
-    def pchip(xs):
-        i = np.clip(np.searchsorted(grid, xs, "right") - 1, 0, last)
-        s = xs - grid[i]
-        z = s * s
-        return 0.0 + c3[i] + c2[i] * s + c1[i] * z + c0[i] * (z * s)
-    return pchip
-
-
 def exit_moment_table(model: DiffusionModel, a: float, b: float,
                       x_grid, n: int, rel_tol: float = 1e-7) -> MomentTable:
     """Iterated two-sided exit moments E_x T_{a,b}^k, k = 0..n."""
     if n < 1:
         raise DomainError("order n must be >= 1")
+    if not a < b:
+        raise DomainError("exit table needs a < b")
     xs = np.asarray(x_grid, dtype=float)
     if np.any(xs < a) or np.any(xs > b):
         raise DomainError("x_grid must lie inside [a, b]")
-    grid = np.unique(np.concatenate([np.linspace(a, b, 129), xs]))
-    values, _ = _settle(model, grid, xs, n, rel_tol, two_sided=True)
+    values, _ = _table(model, a, xs, n, rel_tol, b)
     return MomentTable("two_sided", (a, b), xs, values, model.model_hash())
 
 
@@ -268,134 +217,107 @@ def hitting_moment_table(model: DiffusionModel, target: float, side: str,
             lambda y: model.sigma(2.0 * c - np.asarray(y, dtype=float)),
             label=f"mirror[{model.label}]", anchor=0.0, quad=model.quad)
         starts = 2.0 * c - xs
-    grid = _hitting_grid(walker, float(target), starts)
-    values, powers = _settle(walker, grid, starts, n, rel_tol, two_sided=False)
+    values, powers = _table(walker, float(target), starts, n, rel_tol)
     return MomentTable(side, (target,), xs, values, model.model_hash(),
                        powers)
 
 
-def _settle(model: DiffusionModel, grid: np.ndarray, xs: np.ndarray, n: int,
-            rel_tol: float, two_sided: bool) -> tuple[np.ndarray, tuple]:
-    """Doubles the grid until the values at ``xs`` settle: +inf in the same
-    places as the round before and every other value within ``rel_tol``.
-    A ray's knee (see ``_curves``) is the farthest start, or |a| + 1 where
-    that is further, so that log x is smooth beyond it.  S and m are
-    memoized for this table only."""
-    knee = None if two_sided else max(float(np.max(xs)), abs(grid[0]) + 1.0)
-    S, m = _memo(model.scale_function), _memo(model.speed_density)
-    try:
-        prev = None
-        for round_ in range(_MAX_REFINEMENTS + 1):
-            curves, powers = _curves(model.quad, S, m, grid, n, knee)
-            idx = np.searchsorted(grid, xs)
-            extract = np.stack([c[idx] for c in curves])
-            if prev is not None and np.array_equal(np.isinf(extract),
-                                                   np.isinf(prev)):
-                kept = ~np.isinf(extract)
-                scale = np.abs(prev[kept]) + 1e-12
-                change = float(np.max(
-                    np.abs(extract[kept] - prev[kept]) / scale, initial=0.0))
-                if change < rel_tol:
-                    return extract, powers
-            prev = extract
-            if round_ < _MAX_REFINEMENTS:
-                mids = 0.5 * (grid[:-1] + grid[1:])
-                grid = np.unique(np.concatenate([grid, mids]))
-        raise InterpolationError(
-            f"{'exit' if two_sided else 'hitting'} table did not settle to "
-            f"rel tol {rel_tol:g} after {_MAX_REFINEMENTS} grid doublings")
-    finally:
-        # a caller that keeps the traceback of a failure keeps this frame
-        S.clear()
-        m.clear()
+def _table(model: DiffusionModel, a: float, xs: np.ndarray, n: int,
+           rel_tol: float, b: float | None = None) -> tuple[np.ndarray, tuple]:
+    """Rows u_0..u_n at the starts ``xs`` and a ray's endpoint powers, on
+    the ray [a, inf) or, given ``b``, on [a, b]: the panels of the module
+    docstring, solved again with every panel halved.  The halved table is
+    returned if both have the same +inf entries and no other value moved by
+    more than ``rel_tol``."""
+    ray, far = b is None, float(np.max(xs))
+    edges = np.unique(np.r_[np.linspace(a, far if ray else b, 33), xs])
+    if ray:  # a reach of at least 1 + |a| keeps the verdict far out
+        reach = max(far - a, 1.0 + abs(a)) * 2.0 ** np.arange(1, 31)
+        edges = np.r_[edges, a + reach]
+    B = model.log_scale_exponent(edges)
+    floor = B[np.searchsorted(edges, far)] - _CUT if ray else -math.inf
+    for _ in range(64):  # enough for any continuous B
+        cut = (edges > far) & (B < floor)
+        if cut.any():
+            edges, B = edges[:np.argmax(cut) + 1], B[:np.argmax(cut) + 1]
+        wide = np.abs(np.diff(B)) > _MAX_DB
+        if not wide.any():
+            break
+        mids = 0.5 * (edges[:-1] + edges[1:])[wide]
+        order = np.argsort(np.r_[edges, mids])
+        edges = np.r_[edges, mids][order]
+        B = np.r_[B, model.log_scale_exponent(mids)][order]
+    coarse, _ = _solve(model, edges, xs, n, ray)
+    halved = np.empty(2 * edges.size - 1)
+    halved[::2], halved[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    values, powers = _solve(model, halved, xs, n, ray)
+    finite, change = np.isfinite(values), math.inf
+    if np.array_equal(finite, np.isfinite(coarse)):
+        v, c = values[finite], coarse[finite]
+        change = np.max(np.abs(v - c) / (np.abs(v) + 1e-12), initial=0.0)
+    if not change <= rel_tol:
+        raise NonConvergenceError(
+            f"{model.label}: halving every panel moved the moment table by "
+            f"{change:.3g}, above rel tol {rel_tol:g}")
+    return values, powers
 
 
-def _hitting_grid(model: DiffusionModel, a: float,
-                  xs: np.ndarray) -> np.ndarray:
-    """Linear to the farthest start a + span, geometric to a + reach, then
-    by sqrt(2) to 2^30 reach; cut before the first node beyond a + span
-    where |B| > _LOG_SCALE_LIMIT, reading B a chunk at a time."""
-    span = float(np.max(xs) - a)
-    reach = max(_TAIL_FACTOR * span, _TAIL_FACTOR * (1.0 + abs(a)))
-    pivot = a + span
-    lin = np.linspace(a, pivot, _N_LINEAR)
-    geo = a + np.geomspace(span, reach, _N_GEOMETRIC)
-    far = a + reach * 2.0 ** (np.arange(1, 61) / 2)
-    grid = np.unique(np.concatenate([lin, geo, far, xs]))
-    for i in range(np.searchsorted(grid, pivot, "right"), grid.size, 16):
-        out = np.abs(model.log_scale_exponent(grid[i:i + 16])) \
-            > _LOG_SCALE_LIMIT
-        if out.any():
-            return grid[:i + int(np.argmax(out))]
-    return grid
+def _solve(model: DiffusionModel, edges: np.ndarray, xs: np.ndarray,
+           n: int, ray: bool) -> tuple[np.ndarray, tuple]:
+    """Rows u_0..u_n at the starts ``xs`` (which are edges) and, on a ray,
+    the endpoint powers."""
+    t, wts, left, right = _RULE
+    half = 0.5 * np.diff(edges)[:, None]
+    y = edges[:-1, None] + half * (t + 1.0)
+    B = model.log_scale_exponent(np.r_[edges, y.ravel()])
+    Be, By = B[:edges.size], B[edges.size:].reshape(y.shape)
+    rise = np.exp(Be[1:, None] - By)  # e^{B(hi) - B(y)} at each node
+    # 2/sigma^2 e^{B(y) - B(hi)}: a source u times this is u m s(hi)
+    speed = 2.0 / (model.sigma_sq(y.ravel()).reshape(y.shape) * rise)
+    drop = np.exp(np.diff(Be)).tolist()  # e^{B(hi) - B(lo)} per panel
 
+    def integrate(g: np.ndarray, w_top: float):
+        """int_a^x w at the edges and the nodes: w = w_top at the top and
+        w(z) = e^{B(hi) - B(z)} (w(hi) + int_z^hi g) inside a panel."""
+        w_edges = [w_top]  # from the top down
+        for d, q in zip(drop[::-1], (half[:, 0] * (g @ wts))[::-1].tolist()):
+            w_edges.append(d * (w_edges[-1] + q))
+        w = rise * (np.array(w_edges[-2::-1])[:, None] + half * (g @ right.T))
+        u = np.r_[0.0, np.cumsum(half[:, 0] * (w @ wts))]
+        return u, u[:-1, None] + half * (w @ left.T)
 
-def _memo(fn: Callable) -> Callable:
-    """fn evaluated once per distinct input array (its exact shape and
-    bytes) for as long as the returned function lives.  Results are
-    read-only, so no caller can alter what a later call gets back, and
-    ``clear()`` empties the memo.  Exact reuse is safe because S and m
-    depend only on the point, not the batch."""
-    seen = {}
-
-    def memo(xs):
-        xs = np.asarray(xs, dtype=float)
-        key = (xs.shape, xs.tobytes())
-        out = seen.get(key)
-        if out is None:
-            out = seen[key] = np.asarray(fn(xs))
-            out.flags.writeable = False
-        return out
-    memo.clear = seen.clear
-    return memo
-
-
-def _curves(quad: QuadratureConfig, S: Callable, m: Callable,
-            grid: np.ndarray, n: int,
-            knee: float | None) -> tuple[list[np.ndarray], tuple]:
-    """Moment curves u_0..u_n on ``grid`` and a ray's endpoint powers.
-
-    u_k = k [rho P + (S - S(a)) Q] / rho(a) with P = int_a^x (S - S(a))
-    u_{k-1} m and Q = int_x^end rho u_{k-1} m.  On an interval (``knee``
-    None) rho = S(b) - S.  On the ray [a, inf) rho = 1, u_{k-1} is
-    interpolated as log u against log x from ``knee`` on, and Q is summed
-    from the top down (a running sum from the bottom cancels every digit
-    where Q is small), starting from ``gridfn._remainder`` of u_{k-1} m
-    beyond the last node.  Orders from the first divergent one on are +inf;
-    an inconclusive one raises InconclusiveError.  ``S`` and ``m`` are the
-    model's scale function and speed density (memoized by ``_settle``).
-    """
-    tol = quad.rel_tol, quad.abs_tol
-    sg = S(grid)
-    sa, sb = sg[0], sg[-1]
-    curves = [np.ones_like(grid)]
-    powers = []
+    if ray:  # log of 2/sigma^2 e^{B - B(top)} at the last three edges
+        top_log = np.log(2.0 / model.sigma_sq(edges[-3:])) + Be[-3:] - Be[-1]
+    else:  # S - S(a), scaled to 1 at b
+        s_e, s_n = integrate(np.zeros_like(speed), 1.0)
+        s_e, s_n = s_e / s_e[-1], s_n / s_e[-1]
+    u_e, u_n = np.ones(edges.size), np.ones(y.shape)
+    rows, powers = [np.ones(xs.size)], []
     for k in range(1, n + 1):
-        prev = _interpolant(grid, curves[-1], knee)
-        if knee is not None:
-            beyond = _remainder(grid[-3:] - grid[0],
-                                np.log(curves[-1][-3:] * m(grid[-3:])))
+        w_top = 0.0
+        if ray:
+            beyond = _remainder(edges[-3:] - edges[0],
+                                np.log(u_e[-3:]) + top_log)
             powers.append(beyond.power)
             if math.isnan(beyond.value):
                 raise InconclusiveError(
-                    f"order-{k} tail beyond x={grid[-1]:g} is inconclusive "
+                    f"order-{k} tail beyond x={edges[-1]:g} is inconclusive "
                     f"(endpoint power {beyond.power:.4g})")
             if beyond.value == math.inf:
                 break
-        P = cumulative_panels(lambda t: (S(t) - sa) * prev(t) * m(t), grid,
-                              *tol)
-        if knee is None:
-            Qc = cumulative_panels(lambda t: (sb - S(t)) * prev(t) * m(t),
-                                   grid, *tol)
-            curves.append(k * ((sb - sg) * P + (sg - sa) * (Qc[-1] - Qc))
-                          / (sb - sa))
-        else:
-            q = _panel_integrals(lambda t: prev(t) * m(t), grid[:-1],
-                                 grid[1:], *tol)[0]
-            Q = np.cumsum(np.r_[beyond.value, q[::-1]])[::-1]
-            curves.append(k * (P + (sg - sa) * Q))
-    curves += [np.full_like(grid, np.inf)] * (n + 1 - len(curves))
-    return curves, tuple(powers)
+            w_top = beyond.value
+        with np.errstate(over="ignore", invalid="ignore"):
+            v_e, v_n = integrate(u_n * speed, w_top)
+            if not ray:  # the multiple of S - S(a) that makes u_k(b) = 0
+                v_e, v_n = v_e - v_e[-1] * s_e, v_n - v_e[-1] * s_n
+            u_e, u_n = k * v_e, k * v_n
+        if not np.isfinite(u_e).all():  # every panel integral of w is in u_e
+            raise NumericalBlowupError(
+                f"{model.label}: order-{k} moments, finite by their verdict, "
+                f"overflow on [{edges[0]:g}, {edges[-1]:g}]")
+        rows.append(u_e[np.searchsorted(edges, xs)])
+    rows += [np.full(xs.size, np.inf)] * (n + 1 - len(rows))
+    return np.array(rows), tuple(powers)
 
 
 def simultaneity_check(table: MomentTable) -> SimultaneityReport:

@@ -1,15 +1,15 @@
 import math
-import traceback
 
 import numpy as np
 import pytest
 from scipy import integrate as sci
-from scipy.interpolate import PchipInterpolator
+from scipy import special
 
 from ergodiff import kac
 from ergodiff.diffusion import DiffusionModel, bounded_drift, brownian, ou
 from ergodiff.errors import (DomainError, InconclusiveError,
-                             InterpolationError, NotPositiveRecurrentError)
+                             NonConvergenceError, NotPositiveRecurrentError,
+                             NumericalBlowupError)
 from ergodiff.kac import (exit_moment_table, first_block_sup,
                           hitting_moment_table, mean_exit_time,
                           simultaneity_check)
@@ -65,6 +65,8 @@ def test_exit_boundary_zeros(ou1):
 def test_exit_table_rejects_outside_grid(bm):
     with pytest.raises(DomainError):
         exit_moment_table(bm, 0.0, 1.0, np.array([1.5]), 1)
+    with pytest.raises(DomainError):
+        exit_moment_table(bm, 1.0, 1.0, np.array([1.0]), 1)
 
 
 # -- first-block constant c_f of the L1 bound -------------------------------
@@ -321,159 +323,156 @@ def test_csv_roundtrip(tmp_path, ou1):
         ["# config=0123456789ab version=x"] + text[1:]
 
 
-def test_scale_and_speed_see_each_node_array_once(monkeypatch):
-    # within one table, S and m are evaluated once per distinct input array
-    # (the mirror model of from_below is its own instance, so calls are
-    # keyed by the instance they run on)
-    seen = []
-    for name in ("scale_function", "speed_density"):
-        def wrapped(self, x, _orig=getattr(DiffusionModel, name), _name=name):
-            xs = np.asarray(x, dtype=float)
-            seen.append((id(self), _name, xs.shape, xs.tobytes()))
-            return _orig(self, x)
-        monkeypatch.setattr(DiffusionModel, name, wrapped)
-    model = ou(1.0)
-    builds = [
-        lambda: hitting_moment_table(model, 0.0, "from_above",
-                                     [0.5, 1.0, 1.5, 2.0], 2),
-        lambda: hitting_moment_table(model, 1.0, "from_below",
-                                     [-0.5, 0.0, 0.5], 2),
-        lambda: exit_moment_table(model, -1.0, 1.0,
-                                  np.linspace(-0.9, 0.9, 7), 3),
-    ]
-    for build in builds:
-        seen.clear()
-        build()
-        assert len(seen) > 0
-        assert len(set(seen)) == len(seen)
+def test_ou_far_starts_match_erfcx_closed_form(ou1):
+    # E_x T_0 = 2 int_0^x e^{z^2} int_z^inf e^{-y^2} dy dz
+    #         = sqrt(pi) int_0^x erfcx(z) dz; B(40) = -1600, far past the
+    # range of exp
+    xs = [20.0, 25.0, 30.0, 40.0]
+    tbl = hitting_moment_table(ou1, 0.0, "from_above", xs, 1)
+    exact = [math.sqrt(math.pi)
+             * sci.quad(special.erfcx, 0.0, x, epsabs=1e-13, limit=200)[0]
+             for x in xs]
+    assert np.max(np.abs(tbl.order(1) - exact)) < 1e-10
 
 
-def test_memo_hits_are_read_only():
-    calls = []
-    twice = kac._memo(lambda xs: calls.append(xs.size) or 2.0 * xs)
-    first = twice(np.array([1.0, 2.0]))
-    again = twice(np.array([1.0, 2.0]))
-    assert again is first and calls == [2]
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[0] = 0.0
-    assert twice(np.array([[1.0, 2.0]])).shape == (1, 2) and calls == [2, 2]
+def test_ou_starts_next_to_the_target(ou1):
+    # the ray runs out to 2^30 (1 + |a|) however close the starts are, so
+    # its tail verdict is still taken far out: E_x T_0 ~ sqrt(pi) x is finite
+    xs = [1e-12, 1e-6]
+    tbl = hitting_moment_table(ou1, 0.0, "from_above", xs, 1)
+    exact = [math.sqrt(math.pi)
+             * sci.quad(special.erfcx, 0.0, x, epsabs=0.0, epsrel=1e-13)[0]
+             for x in xs]
+    assert tbl.order(1) == pytest.approx(exact, rel=1e-9)
 
 
-def test_failed_table_leaves_its_memo_empty(monkeypatch, ou1):
-    # a caller may keep the error, and with it the traceback's frames
-    monkeypatch.setattr(kac, "_MAX_REFINEMENTS", 0)
-    with pytest.raises(InterpolationError) as err:
+def _gamma_family(theta, gamma):
+    # beta = -theta x (1+x^2)^(gamma-1), sigma = (1+x^2)^(gamma/2): B =
+    # -theta log(1+x^2), s = (1+x^2)^theta, m = 2 (1+x^2)^(-theta-gamma), so
+    # E_x T^k < inf iff k < (2 theta + 1) / (2 (1 - gamma))
+    return DiffusionModel(
+        lambda x: -theta * x * (1.0 + x * x) ** (gamma - 1.0),
+        lambda x: (1.0 + x * x) ** (gamma / 2.0),
+        label=f"gamma_family({theta:g}, {gamma:g})")
+
+
+def test_gamma_family_order1_matches_betainc_oracle():
+    # E_x T_1 = 2 int_1^x s I with I(z) = int_z^inf (1+y^2)^(-theta-gamma) dy
+    #         = B(c, 1/2) betainc(c, 1/2, 1/(1+z^2)) / 2, c = theta+gamma-1/2
+    theta, gamma = 2.0, 0.25
+    c = theta + gamma - 0.5
+
+    def integrand(z):
+        tail = 0.5 * special.beta(c, 0.5) * special.betainc(c, 0.5,
+                                                            1 / (1 + z * z))
+        return 2.0 * (1.0 + z * z) ** theta * tail
+
+    xs = [2.0, 3.0, 5.0]
+    exact = [sci.quad(integrand, 1.0, x, epsabs=1e-13, epsrel=1e-13)[0]
+             for x in xs]
+    tbl = hitting_moment_table(_gamma_family(theta, gamma), 1.0, "from_above",
+                               xs, 1)
+    assert np.max(np.abs(tbl.order(1) - exact)) < 1e-8
+
+
+@pytest.mark.parametrize("theta, gamma, verdict", [
+    (2.0, 0.25, "finite"),         # threshold 10/3
+    (1.5, 0.3, "infinite"),        # threshold 20/7
+    (1.0, 0.5, "inconclusive"),    # threshold exactly 3
+])
+def test_gamma_family_order3_verdicts(theta, gamma, verdict):
+    build = lambda: hitting_moment_table(_gamma_family(theta, gamma), 1.0,
+                                         "from_above", [2.0, 3.0, 5.0], 3)
+    if verdict == "inconclusive":
+        with pytest.raises(InconclusiveError):
+            build()
+        return
+    row = build().order(3)
+    if verdict == "finite":
+        assert np.all(np.isfinite(row) & (row > 0))
+    else:
+        assert np.all(np.isinf(row))
+
+
+def test_missed_tolerance_raises(monkeypatch, ou1):
+    # two nodes per panel cannot meet 1e-7: halving every panel moves the
+    # table by more, so it raises instead of returning
+    monkeypatch.setattr(kac, "_RULE", kac._legendre(2))
+    with pytest.raises(NonConvergenceError):
         hitting_moment_table(ou1, 0.0, "from_above", [0.5, 1.0], 1)
-    frame = next(f for f, _ in traceback.walk_tb(err.value.__traceback__)
-                 if f.f_code.co_name == "_settle")
-    assert [frame.f_locals[k].clear.__self__ for k in "Sm"] == [{}, {}]
+    with pytest.raises(NonConvergenceError):
+        exit_moment_table(ou1, -1.0, 1.0, [0.0, 0.5], 2)
 
 
-def _pchip_data_200():
-    # non-uniform grid; a rising run, a flat run, a falling run, then sign
-    # changes with exact zeros among them
-    rng = np.random.default_rng(5)
-    grid = np.cumsum(rng.uniform(0.01, 0.3, 200)) - 3.0
-    vals = np.concatenate([
-        np.cumsum(rng.exponential(size=50)),
-        np.full(30, 2.5),
-        2.5 - np.cumsum(rng.exponential(size=50)),
-        np.round(np.sin(np.arange(70.0)) * rng.uniform(0, 3, 70), 1)])
-    return grid, vals
+def test_finite_order_beyond_the_float_range_raises(ou1):
+    # E_0 T_30 of OU is finite but about e^900: no row comes back with an
+    # overflowed entry
+    with pytest.raises(NumericalBlowupError):
+        hitting_moment_table(ou1, 30.0, "from_below", [0.0], 1)
 
 
-_PCHIP_CASES = {
-    "two_points": (np.array([-0.3, 0.4]), np.array([1.0, 2.5])),
-    # left end: the three-point estimate has the wrong sign, so d = 0
-    "edge_zero": (np.array([0.0, 0.6, 1.7]), np.array([0.0, 0.1, 5.0])),
-    # left end: the slopes change sign and the estimate overshoots 3 m0
-    "edge_three_m0": (np.array([0.0, 1.1, 1.9]), np.array([0.0, 1.0, -9.0])),
-    "mixed_200": _pchip_data_200(),
-}
-
-
-def test_pchip_cases_take_both_edge_fixes():
-    for name, want in (("edge_zero", 0.0), ("edge_three_m0", 3.0)):
-        grid, vals = _PCHIP_CASES[name]
-        h, m = np.diff(grid), np.diff(vals) / np.diff(grid)
-        assert kac._edge_slope(h[0], h[1], m[0], m[1]) == want * m[0]
-        assert ((2 * h[0] + h[1]) * m[0] - h[0] * m[1]) / (h[0] + h[1]) \
-            != want * m[0]
-
-
-@pytest.mark.parametrize("name", list(_PCHIP_CASES))
-def test_pchip_matches_scipy_bit_for_bit(name):
-    grid, vals = _PCHIP_CASES[name]
-    span = grid[-1] - grid[0]
-    xs = np.concatenate([grid, [grid[-1]], 0.5 * (grid[:-1] + grid[1:]),
-                         [grid[0] - 0.5 * span, grid[0] - 1e-9,
-                          grid[-1] + 1e-9, grid[-1] + 0.5 * span, np.nan]])
-    want = PchipInterpolator(grid, vals, extrapolate=True)(xs)
-    got = kac._pchip(grid, vals)(xs)
-    assert np.array_equal(got, want, equal_nan=True)
-
-
-# Tables recorded with the separate exit and hitting recursions that the
-# shared one replaced (x86-64, NumPy 2.4.6, SciPy 1.17.1).  Both build the
-# same floating-point operations, so each table must come back bit for bit:
-# (table, values, tail_powers, model_hash).  The hitting tables were
-# re-recorded when the ray stopped fitting a power law to its tail and ran
-# its grid out to about 2^30 times its reach instead: order 1 moved in the
-# last digits only (OU from 0.5: ...927 -> ...920); OU order 2 moved by up
-# to 8e-9 relative, toward nested-quad values (at x = 2: 4.12401788 ->
-# 4.12401791, quad 4.124017904).  The model hashes were re-recorded when
-# QuadratureConfig lost max_subdivisions.
+# Tables recorded on the Gauss-Legendre panel engine (x86-64, NumPy 2.4.6,
+# SciPy 1.17.1); each must come back bit for bit: (table, values,
+# tail_powers, model_hash).  Shifts from the PCHIP grid-doubling tables they
+# replaced, relative: order 1 by at most 2.2e-14 everywhere; OU order 2 by
+# -3e-10 to -2.5e-9 from above (x = 2: 4.124017914564662 -> 4.124017904334231,
+# nested quad 4.124017904) and +3.2e-9 to +3.9e-9 from below (x = -0.5:
+# 40.67389723550319 -> 40.67389739578218); OU exit order 2 by +3.9e-10 and
+# +4.5e-10; Brownian exit order 2 by +2.9e-10 and +1.6e-9, onto its closed
+# form (19/256, 5/48, 19/256).  OU's endpoint powers moved from about -877
+# (-836 from below) to -209 (-222), since the ray is now cut once B has
+# fallen 100 below its value at the farthest start; the bounded-drift powers
+# moved by at most 4e-10 and keep their verdicts.
 _INF = math.inf
 _PINNED = {
     "ou_from_above": (
         lambda: hitting_moment_table(ou(1.0), 0.0, "from_above",
                                      [0.5, 1.0, 1.5, 2.0], 2),
         [[1.0, 1.0, 1.0, 1.0],
-         [0.693664428127992, 1.1472371061785087, 1.4751988021159508,
-          1.7287842879885291],
-         [1.198629218578109, 2.2871153499272605, 3.256714588282357,
-          4.124017914564662]],
-        (-877.695836851128, -877.4472358169485),
+         [0.6936644281279958, 1.147237106178515, 1.4751988021159588,
+          1.7287842879885382],
+         [1.1986292181927707, 2.2871153489443445, 3.256714585660736,
+          4.124017904334231]],
+        (-209.4847005207385, -209.18120205586567),
         "4c7057518f45"),
     "ou_from_below": (
         lambda: hitting_moment_table(ou(1.0), 1.0, "from_below",
                                      [-0.5, 0.0, 0.5], 2),
         [[1.0, 1.0, 1.0],
-         [4.731392761083179, 4.037728332955186, 2.79946377807497],
-         [40.67389723550319, 33.8736110309963, 22.72155062468216]],
-        (-835.8421275645296, -835.7110412432061),
+         [4.731392761083205, 4.03772833295521, 2.7994637780749883],
+         [40.67389739578218, 33.873611147558236, 22.72155069785032]],
+        (-221.97299650437537, -221.8223322788966),
         "4c7057518f45"),
     "bounded_drift_0.75": (
         lambda: hitting_moment_table(bounded_drift(0.75), 1.0, "from_above",
                                      [2.0, 3.0, 5.0], 3),
         [[1.0, 1.0, 1.0],
-         [7.505210377296153, 18.444071586008647, 51.65172153215019],
+         [7.505210377296273, 18.444071586008974, 51.6517215321513],
          [_INF, _INF, _INF],
          [_INF, _INF, _INF]],
-        (-1.4999999999526816, 0.5000000000094456),
+        (-1.4999999995953408, 0.5000000000798869),
         "aa486ad9cf48"),
     "bounded_drift_1": (
         lambda: hitting_moment_table(bounded_drift(1.0), 12.0, "from_above",
                                      [30.0, 60.0, 100.0], 2),
         [[1.0, 1.0, 1.0],
-         [757.2209445371283, 3458.1450296998146, 9858.826106829714],
+         [757.220944537133, 3458.145029699834, 9858.826106829774],
          [_INF, _INF, _INF]],
-        (-1.9999999999655824, 1.1428454150418245e-11),
+        (-1.9999999997056568, 9.696783525020399e-11),
         "4d5cee3d671c"),
     "ou_exit": (
         lambda: exit_moment_table(ou(1.0), -1.0, 1.0,
                                   [-1.0, -0.25, 0.5, 1.0], 2),
         [[1.0, 1.0, 1.0, 1.0],
-         [0.0, 1.3814215347623053, 1.1729455500122272, 0.0],
-         [0.0, 3.4843198087453264, 2.9034468904122495, 0.0]],
+         [0.0, 1.3814215347623144, 1.1729455500122334, 0.0],
+         [0.0, 3.48431981033015, 2.9034468915312965, 0.0]],
         (),
         "4c7057518f45"),
     "brownian_exit": (
         lambda: exit_moment_table(brownian(), 0.0, 1.0, [0.25, 0.5, 0.75], 2),
         [[1.0, 1.0, 1.0],
-         [0.1874999999999996, 0.2499999999999991, 0.1874999999999992],
-         [0.07421874997860202, 0.10416666649824119, 0.07421874997860195]],
+         [0.18749999999999997, 0.24999999999999994, 0.1875],
+         [0.07421874999999996, 0.10416666666666666, 0.07421875]],
         (),
         "3f9e37b5cc46"),
 }
