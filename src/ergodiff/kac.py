@@ -15,9 +15,10 @@ is passed down with the factor e^{B(hi)-B(lo)} and u is summed up from the
 target, so exp(+-B) never has to be representable on its own.
 
 Panels: 33 linear edges to the farthest start (or to b), every start an
-edge; on a ray, edges at ratio 2 out to 2^30 times that span (or 1 + |a|,
-if larger), cut at the first where B has fallen 100 below its value at the
-farthest start.  A panel is halved until B varies by at most 2 across it.
+edge; on a ray, ratio-2 edges out to 2^30 times that span (or 1 + |a|, if
+larger), read one at a time and cut at the first where B has fallen 100
+below B(farthest start).  A panel is halved until B varies by at most 2
+across it.
 
 On the ray [a, inf), w(top) = u_{k-1} 2/sigma^2 y / (-p-1) is the remainder
 beyond the last edge by the rule of ``gridfn._remainder``, with p the
@@ -41,9 +42,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legint, legvander
 
 from .diffusion import DiffusionModel
 from .errors import (DomainError, InconclusiveError, NonConvergenceError,
@@ -60,21 +61,22 @@ FROM_BELOW = "from_below"
 FROM_ABOVE = "from_above"
 
 # the panel rules of the module docstring
+_NODES = 16
 _MAX_DB = 2.0
 _CUT = 100.0
 
 
+@lru_cache
 def _legendre(n: int) -> tuple:
     """The n-point Gauss-Legendre nodes and weights on [-1, 1], and the
     matrices that map f at the nodes to int_-1^t f and int_t^1 f at each
-    node t, through the Legendre series of f (exact below degree n)."""
+    node t, through the Legendre series of f (exact below degree n); built
+    on first use."""
+    from numpy.polynomial.legendre import leggauss, legint, legvander
     t, wts = leggauss(n)
     to_series = (np.arange(n) + 0.5)[:, None] * legvander(t, n - 1).T * wts
     left = legvander(t, n) @ legint(np.eye(n), lbnd=-1) @ to_series
     return t, wts, left, wts - left
-
-
-_RULE = _legendre(16)  # 16 nodes per panel
 
 
 @dataclass
@@ -231,11 +233,14 @@ def _table(model: DiffusionModel, a: float, xs: np.ndarray, n: int,
     more than ``rel_tol``."""
     ray, far = b is None, float(np.max(xs))
     edges = np.unique(np.r_[np.linspace(a, far if ray else b, 33), xs])
-    if ray:  # a reach of at least 1 + |a| keeps the verdict far out
-        reach = max(far - a, 1.0 + abs(a)) * 2.0 ** np.arange(1, 31)
-        edges = np.r_[edges, a + reach]
-    B = model.log_scale_exponent(edges)
-    floor = B[np.searchsorted(edges, far)] - _CUT if ray else -math.inf
+    B, floor = model.log_scale_exponent(edges), -math.inf
+    if ray:  # B is never read past the cut; 1 + |a| keeps the tail far out
+        floor, unit = B[-1] - _CUT, max(far - a, 1.0 + abs(a))
+        for j in range(1, 31):
+            edges = np.r_[edges, a + unit * 2.0 ** j]
+            B = np.r_[B, model.log_scale_exponent(edges[-1:])]
+            if B[-1] < floor:
+                break
     for _ in range(64):  # enough for any continuous B
         cut = (edges > far) & (B < floor)
         if cut.any():
@@ -266,7 +271,7 @@ def _solve(model: DiffusionModel, edges: np.ndarray, xs: np.ndarray,
            n: int, ray: bool) -> tuple[np.ndarray, tuple]:
     """Rows u_0..u_n at the starts ``xs`` (which are edges) and, on a ray,
     the endpoint powers."""
-    t, wts, left, right = _RULE
+    t, wts, left, right = _legendre(_NODES)
     half = 0.5 * np.diff(edges)[:, None]
     y = edges[:-1, None] + half * (t + 1.0)
     B = model.log_scale_exponent(np.r_[edges, y.ravel()])
@@ -329,12 +334,7 @@ def simultaneity_check(table: MomentTable) -> SimultaneityReport:
     if table.x_grid.size < 3:
         raise DomainError("simultaneity check needs a grid of >= 3 points")
     rows = []
-    ok = True
-    for k in range(table.values.shape[0]):
-        row = table.values[k]
+    for k, row in enumerate(table.values):
         n_inf = int(np.sum(np.isinf(row)))
-        n_fin = row.size - n_inf
-        uniform = n_inf == 0 or n_fin == 0
-        ok = ok and uniform
-        rows.append((k, n_fin, n_inf, uniform))
-    return SimultaneityReport(tuple(rows), ok)
+        rows.append((k, row.size - n_inf, n_inf, n_inf in (0, row.size)))
+    return SimultaneityReport(tuple(rows), all(r[3] for r in rows))

@@ -346,6 +346,25 @@ def test_ou_starts_next_to_the_target(ou1):
     assert tbl.order(1) == pytest.approx(exact, rel=1e-9)
 
 
+def test_superexponential_drift_reads_nothing_past_the_cut():
+    # beta = -sinh(x): B = 2 - 2 cosh x falls 100 below B(2) by x = 4, while
+    # sinh overflows past x = 710, so the ray must stop reading B at its cut.
+    # E_x T_0 = int_0^x int_0^inf 2 e^{2 cosh z - 2 cosh(z + t)} dt dz
+    model = DiffusionModel(lambda x: -np.sinh(x), lambda x: np.ones_like(x))
+    xs = [0.5, 1.0, 2.0]
+    with np.errstate(all="raise"):
+        tbl = hitting_moment_table(model, 0.0, "from_above", xs, 2)
+
+    def inner(z):
+        return sci.quad(lambda t: 2.0 * math.exp(2.0 * (math.cosh(z)
+                                                         - math.cosh(z + t))),
+                        0.0, 40.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    exact = [sci.quad(inner, 0.0, x, epsabs=0.0, epsrel=1e-12)[0] for x in xs]
+    assert tbl.order(1) == pytest.approx(exact, rel=1e-9)
+    assert np.all(np.isfinite(tbl.order(2)) & (tbl.order(2) > 0))
+
+
 def _gamma_family(theta, gamma):
     # beta = -theta x (1+x^2)^(gamma-1), sigma = (1+x^2)^(gamma/2): B =
     # -theta log(1+x^2), s = (1+x^2)^theta, m = 2 (1+x^2)^(-theta-gamma), so
@@ -397,7 +416,7 @@ def test_gamma_family_order3_verdicts(theta, gamma, verdict):
 def test_missed_tolerance_raises(monkeypatch, ou1):
     # two nodes per panel cannot meet 1e-7: halving every panel moves the
     # table by more, so it raises instead of returning
-    monkeypatch.setattr(kac, "_RULE", kac._legendre(2))
+    monkeypatch.setattr(kac, "_NODES", 2)
     with pytest.raises(NonConvergenceError):
         hitting_moment_table(ou1, 0.0, "from_above", [0.5, 1.0], 1)
     with pytest.raises(NonConvergenceError):
