@@ -120,8 +120,8 @@ class DiffusionModel:
 
     ``diffusion`` is a callable sigma(x) or a real number c for a constant
     sigma.  A number must give a positive, finite sigma^2 = c*c, checked
-    once here (DomainError otherwise), so the Euler kernel need not screen
-    sigma^2 at every step.
+    once here (DomainError otherwise) and kept as ``constant_sigma_sq``
+    (None for a callable sigma), so the Euler kernel need not screen it.
 
     All methods are pure; the panel sums behind B and S are append-only,
     and each extension is computed from the panel edges alone, so instances
@@ -138,10 +138,10 @@ class DiffusionModel:
                 raise DomainError(
                     f"constant sigma must be finite and nonzero, got {c!r}")
             self._sigma = lambda xs: np.full(np.shape(xs), c)
-            self._const_sigma_sq = c * c
+            self.constant_sigma_sq = c * c
         else:
             self._sigma = vectorize_integrand(diffusion)
-            self._const_sigma_sq = None
+            self.constant_sigma_sq = None
         self.label = label or "anonymous"
         self.anchor = float(anchor)
         self.quad = quad
@@ -167,7 +167,8 @@ class DiffusionModel:
     def sigma_sq(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         s2 = self._sigma(xs) ** 2
-        _check_positive(xs, s2)
+        if not s2.min(initial=np.inf) > 0 and np.any(s2 <= 0):
+            raise DomainError(f"sigma^2 vanishes at x={xs[s2 <= 0].flat[0]!r}")
         return s2
 
     def step_coefficients(self, x: np.ndarray, guard: float):
@@ -177,20 +178,27 @@ class DiffusionModel:
         the finiteness of the drift.  Each is screened by one reduction, and
         only a failing screen runs the elementwise check, which names the
         offending point (a NaN fails the screens but none of the checks).
-        The coefficients come from ``sigma_sq`` and ``drift``, so every
-        evaluation stays a call of those two methods; a constant sigma^2,
-        checked once at construction, is returned as that scalar instead,
-        with no ``sigma_sq`` call.
+        The coefficients come from ``sigma_sq`` and ``drift``; a constant
+        sigma^2 is returned as that scalar instead.  The Euler kernel steps
+        with ``unchecked_coefficients`` and calls this once per block, on
+        all the states it stepped from.
         """
         if not abs(x).max(initial=0.0) <= guard \
                 and np.any(np.abs(x) > guard):
             raise NumericalBlowupError(
                 f"{self.label}: |X| exceeded guard {guard:g}; "
                 "is the model recurrent?")
-        s2 = self._const_sigma_sq
+        s2 = self.constant_sigma_sq
         if s2 is None:
             s2 = self.sigma_sq(x)
         return self.drift(x), s2
+
+    def unchecked_coefficients(self, x: np.ndarray):
+        """(drift, sigma^2) as ``step_coefficients`` evaluates them, unchecked."""
+        s2 = self.constant_sigma_sq
+        if s2 is None:
+            s2 = self._sigma.unchecked(x) ** 2
+        return self._drift.unchecked(x), s2
 
     def model_hash(self) -> str:
         payload = f"{self.label}|anchor={self.anchor}|quad={astuple(self.quad)}"
@@ -333,12 +341,6 @@ class DiffusionModel:
 
     def __repr__(self):
         return f"DiffusionModel({self.label!r}, anchor={self.anchor})"
-
-
-def _check_positive(xs: np.ndarray, s2: np.ndarray) -> None:
-    if not s2.min(initial=np.inf) > 0 and np.any(s2 <= 0):
-        bad = xs[s2 <= 0]
-        raise DomainError(f"sigma^2 vanishes at x={bad.flat[0]!r}")
 
 
 def _worst(name: str, grid: np.ndarray, slack: np.ndarray) -> InequalityCheck:

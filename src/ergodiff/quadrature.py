@@ -78,33 +78,35 @@ def vectorize_integrand(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
 
     Array-aware callables pass through with just a dtype/shape check; scalar
     callables are evaluated pointwise.  Non-finite outputs raise
-    EvaluationError.
+    EvaluationError (``.unchecked`` is the same evaluation without that check).
     """
     mode = {"scalar": False}
 
-    def wrapped(xs: np.ndarray) -> np.ndarray:
+    def unchecked(xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if not mode["scalar"]:
             try:
                 ys = np.asarray(f(xs), dtype=float)
                 if ys.shape == xs.shape:
-                    _check_finite(xs, ys)
                     return ys
             except (TypeError, ValueError, IndexError):
                 pass
             mode["scalar"] = True
         ys = np.fromiter((float(f(x)) for x in xs), dtype=float, count=xs.size)
-        ys = ys.reshape(xs.shape)
-        _check_finite(xs, ys)
-        return ys
+        return ys.reshape(xs.shape)
 
+    def wrapped(xs: np.ndarray) -> np.ndarray:
+        return _check_finite(xs, unchecked(xs))
+
+    wrapped.unchecked = unchecked
     return wrapped
 
 
-def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
+def _check_finite(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     if not np.isfinite(ys).all():     # the ndarray method: no np.all wrapper
         bad = np.asarray(xs)[~np.isfinite(ys)]
         raise EvaluationError(f"integrand is non-finite near x={bad.flat[0]!r}")
+    return ys
 
 
 # At most _MAX_SPLITS bisections per gap.  The first _BARE_LEVELS levels of

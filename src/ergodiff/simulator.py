@@ -23,14 +23,15 @@ stable sort at the end.  With ``max_cycles`` no row may step
 past its last event, so the kernel tests each row's level per step and ends
 the block at the first event.
 
-Every check (the guard, sigma^2 > 0, finite drift, sigma and f) runs at
-every step on every row of the state, as one screening reduction,
-elementwise only when the screen fails; a constant sigma is checked once,
-when the model is built, and its sigma^2 enters the step as a scalar (see
-``DiffusionModel.step_coefficients``).  A check that fails inside a block
-ends it there; the steps before it are resolved and the step is retried
-with the rows still live, so errors keep their type, message and order, and
-a failure only on a replica that has already hit raises nothing.
+The steps of a block run unchecked; then the checks of
+``DiffusionModel.step_coefficients`` (the guard, sigma^2 > 0, finite drift
+and sigma) run once over all the states the block stepped from, as one
+guard reduction and one call each of ``sigma_sq`` and ``drift``.  A constant
+sigma is checked when the model is built, and its sigma^2 enters the step
+as a scalar.  A check that fails ends the block at its first failing step;
+the steps before it are resolved and the step is retried with the rows
+still live, so errors keep their type, message and order, and a failure
+only on a replica that has already hit raises nothing.
 
 Randomness is counter-based: replica r in block b reads noise row (r mod B)
 of the block.  The block's rows form lanes of L consecutive rows; each lane
@@ -244,10 +245,6 @@ def _block_layout(n: int):
             for bid in range((n + _BLOCK - 1) // _BLOCK)]
 
 
-def _run_blocks(fn, cfg: SimConfig):
-    return [fn(bid, cnt) for bid, cnt in _block_layout(cfg.replicas)]
-
-
 # -- Euler/level-crossing kernel ------------------------------------------------
 
 def _noise(cfg: SimConfig, block: int, n_rep: int, live_rows):
@@ -304,32 +301,55 @@ def _euler_block(model: DiffusionModel, cfg: SimConfig, T: np.ndarray,
                  level: np.ndarray | None = None, u: np.ndarray | None = None):
     """Euler steps T[k] -> T[k + 1] with noise z[k], for k < K = len(z).
 
-    Returns (steps taken, crossing tests of the last step or None).  Every
-    step's checks run on every row of T.  A step that fails at k > 0 ends
-    the block there: the caller resolves the steps before it and retries
-    step k, with the rows still live, as the first step of the next block,
-    where a failure raises.  ``s2_out[k]`` receives sigma^2 at T[k].  With
-    ``level`` (one per row) each step runs that level's crossing tests, with
+    Returns (steps taken, crossing tests of the last step or None).  The
+    steps run unchecked; ``step_coefficients`` then checks the states
+    stepped from, T[:K], at once.  The first step k that fails (found by
+    elementwise masks) ends the block: the caller resolves the steps
+    before it and retries step k first in the next block, where it raises.
+    ``s2_out[k]`` gets a callable sigma's sigma^2 at T[k].  With ``level``
+    (one per row) each step runs that level's crossing tests, with
     uniforms u[k], and the first step where one fires ends the block.
     """
-    h, root_h = cfg.step, math.sqrt(cfg.step)
-    for k in range(len(z)):
-        x = T[k]
-        try:
-            drift, s2 = model.step_coefficients(x, cfg.blowup_guard)
-            np.add(x + drift * h, np.sqrt(s2) * root_h * z[k], out=T[k + 1])
-        except Exception:       # a check's error or the coefficients' own
-            if k == 0:
-                raise
-            return k, None      # deferred: the next block retries step k
-        if s2_out is not None:
-            s2_out[k] = s2
-        if level is not None:
-            tests = _crossing_tests(x, T[k + 1], level, s2,
-                                    None if u is None else u[k], h)
-            if tests[3].any():
-                return k + 1, tests
-    return len(z), None
+    h, guard, c = cfg.step, cfg.blowup_guard, model.constant_sigma_sq
+    root_h = math.sqrt(h)
+    sd = None if c is None else np.sqrt(c) * root_h     # computed once
+
+    def steps(coefficients):        # an error at a step k > 0 ends it there
+        for k in range(len(z)):
+            x = T[k]
+            try:
+                drift, s2 = coefficients(x)
+                np.add(x + drift * h, (np.sqrt(s2) * root_h if sd is None
+                                       else sd) * z[k], out=T[k + 1])
+            except Exception:   # the coefficients' own error or a check's
+                if k == 0:
+                    raise
+                return k, None
+            if s2_out is not None:
+                s2_out[k] = s2
+            if level is not None:
+                tests = _crossing_tests(x, T[k + 1], level, s2,
+                                        None if u is None else u[k], h)
+                if tests[3].any():
+                    return k + 1, tests
+        return len(z), None
+
+    K = 0
+    try:
+        K, tests = steps(model.unchecked_coefficients)
+        model.step_coefficients(T[:K].reshape(-1), guard)    # the checks
+        return K, tests
+    except Exception:
+        X = T[:K].reshape(-1)
+    try:        # the first step with a failing check (or a NaN state)
+        d, s2 = model.unchecked_coefficients(X)
+        ok = (abs(X) <= guard) & np.isfinite(d) & (0 < s2) & (s2 < np.inf)
+        k = int(np.flatnonzero(~ok.reshape(K, -1).all(axis=1))[0])
+        if k > 0:
+            return k, None  # deferred: the next block retries step k
+    except Exception:       # none found, or the coefficients raise
+        pass            # step 0 raises, or holds a NaN: run the block checked
+    return steps(lambda x: model.step_coefficients(x, guard))
 
 
 def _crossing_tests(x0: np.ndarray, x1: np.ndarray, lvl, s2, u, h: float):
@@ -366,7 +386,8 @@ def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
     """Hitting times of one RNG block (nan: censored).  A replica that hits
     steps on to the end of its kernel block; its hit is its first crossing
     in the block, and the later steps are discarded."""
-    h = cfg.step
+    h, s2 = cfg.step, model.constant_sigma_sq   # a scalar, or per step
+    s2_rows = cfg.crossing == "bridge" and s2 is None
     x = np.full(n_rep, float(x0))
     idx = np.arange(n_rep)
     hit = np.full(n_rep, np.nan)
@@ -380,11 +401,11 @@ def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
             K = _block_len(n, Z.shape[1] - j)
             T = _shaped(t_buf, K + 1, n)
             T[0] = x
-            S2 = None if U is None else _shaped(s2_buf, K, n)
+            S2 = _shaped(s2_buf, K, n) if s2_rows else None
             K, _ = _euler_block(model, cfg, T, Z[rows, j:j + K].T, S2)
             u = None if U is None else U[rows, j:j + K].T
             tests = _crossing_tests(T[:K], T[1:K + 1], level,
-                                    None if S2 is None else S2[:K], u, h)
+                                    s2 if S2 is None else S2[:K], u, h)
             fired = tests[3]
             out = fired.any(axis=0)
             cols = out.nonzero()[0]
@@ -454,8 +475,10 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     ``max_cycles`` a row may not step past its last event, so the kernel
     tests each row's level per step and ends the block at the first event.
     """
-    h = cfg.step
+    h, s2 = cfg.step, model.constant_sigma_sq   # a scalar, or per step
     fv = vectorize_integrand(f)
+    stop = max_cycles is not None             # rows leave at their events
+    s2_rows = cfg.crossing == "bridge" and s2 is None and not stop
 
     x = cfg.initial.sample(_stream(cfg.seed, block, _KIND_INITIAL, 0), n_rep)
     idx = np.arange(n_rep)
@@ -466,7 +489,6 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     s_rep, s_time = [], []                    # S-event records
     r_rep, r_time, r_cyc = [], [], []         # R-event records
     additive = np.zeros((n_rep, cp_steps.size))
-    stop = max_cycles is not None             # rows leave at their events
     t_buf, s2_buf, f_buf = _block_buffers(n_rep, 3)
 
     def record(step0, k, cols, theta, fx, F):
@@ -496,7 +518,7 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
             K = _block_len(n, Z.shape[1] - j)
             T = _shaped(t_buf, K + 1, n)
             T[0] = x
-            S2 = None if U is None or stop else _shaped(s2_buf, K, n)
+            S2 = _shaped(s2_buf, K, n) if s2_rows else None
             u = None if U is None else U[live, j:j + K].T
             K, last = _euler_block(model, cfg, T, Z[live, j:j + K].T, S2,
                                    level if stop else None, u)
@@ -515,7 +537,7 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
                 additive[:, ci] = F[cp_steps[ci] - step0]
             if not stop:
                 tests_a, tests_b = (_crossing_tests(
-                    T[:K], T[1:], lvl, None if S2 is None else S2[:K],
+                    T[:K], T[1:], lvl, s2 if S2 is None else S2[:K],
                     None if u is None else u[:K], h) for lvl in (cfg.a, cfg.b))
                 for k, cols, theta in _level_walk(level, cfg.b, tests_a,
                                                   tests_b):
@@ -559,9 +581,8 @@ def simulate_paths(model: DiffusionModel, cfg: SimConfig, f,
     if cp_steps.size and max_cycles is not None:
         raise ConfigError("checkpoints cannot be combined with max_cycles "
                           "(frozen replicas would report stale integrals)")
-    parts = _run_blocks(
-        lambda bid, cnt: _regen_block(model, cfg, f, bid, cnt, cp_steps,
-                                      max_cycles), cfg)
+    parts = [_regen_block(model, cfg, f, bid, cnt, cp_steps, max_cycles)
+             for bid, cnt in _block_layout(cfg.replicas)]
     samples = [s for block_samples, _ in parts for s in block_samples]
     additive = np.vstack([p[1] for p in parts]) if parts else np.zeros((0, 0))
     return BatchResult(samples, cp_steps * cfg.step, additive, cfg.horizon,
@@ -603,8 +624,8 @@ def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
                                 censored_fraction=0.0, order=k,
                                 n_used=cfg.replicas)
                 for k in orders]
-    times = np.concatenate(_run_blocks(
-        lambda bid, cnt: _hit_block(model, cfg, x0, target, bid, cnt), cfg))
+    times = np.concatenate([_hit_block(model, cfg, x0, target, bid, cnt)
+                            for bid, cnt in _block_layout(cfg.replicas)])
     censored = np.isnan(times)
     frac = float(np.mean(censored))
     if frac >= 0.5:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -411,6 +412,28 @@ def test_gamma_family_order3_verdicts(theta, gamma, verdict):
         assert np.all(np.isfinite(row) & (row > 0))
     else:
         assert np.all(np.isinf(row))
+
+
+@pytest.mark.parametrize("theta", ["0.75", "1", "1.5", "2", "2.5"])
+@pytest.mark.parametrize("gamma", ["0", "0.2", "0.4", "0.6"])
+def test_gamma_family_verdicts_follow_the_order_threshold(theta, gamma):
+    # order k is finite iff k < (2 theta + 1) / (2 (1 - gamma)), computed
+    # exactly; a threshold equal to one of the orders is inconclusive
+    limit = (2 * Fraction(theta) + 1) / (2 * (1 - Fraction(gamma)))
+    build = lambda: hitting_moment_table(
+        _gamma_family(float(theta), float(gamma)), 1.0, "from_above",
+        [2.0, 3.0, 5.0], 4)
+    if limit in range(1, 5):
+        with pytest.raises(InconclusiveError):
+            build()
+        return
+    tbl = build()
+    for k in range(1, 5):
+        row = tbl.order(k)
+        if k < limit:
+            assert np.all(np.isfinite(row) & (row > 0)), k
+        else:
+            assert np.all(np.isinf(row)), k
 
 
 def test_missed_tolerance_raises(monkeypatch, ou1):

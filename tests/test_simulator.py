@@ -219,32 +219,61 @@ def test_numerical_blowup_guard():
 
 NAN_PAST = lambda x: np.where(x > 0.6, np.nan, -x)
 ONE = lambda x: np.ones_like(x)
+NAN_AT = "integrand is non-finite near x=np.float64({})"
 FAILING_STEPS = {
-    # name: (drift, sigma, x0, blowup_guard, error).  Each check of a step
-    # alone, then pairs that show their order: the guard, sigma^2 > 0 (after
-    # sigma is finite), the drift.  The NaN cases start inside the region
-    # and fail once a path wanders past x = 0.6.
-    "drift-nan": (NAN_PAST, ONE, 0.5, 1e9, EvaluationError),
+    # name: (drift, sigma, x0, blowup_guard, error, message).  Each check of
+    # a step alone, then pairs that show their order: the guard, sigma^2 > 0
+    # (after sigma is finite), the drift.  The NaN cases start inside the
+    # region and fail once a path wanders past x = 0.6 (0.52: many of the
+    # 50 rows, at different steps of the first kernel block).  Messages
+    # recorded with the checks run at every step.
+    "drift-nan": (NAN_PAST, ONE, 0.5, 1e9, EvaluationError,
+                  NAN_AT.format(0.6195331532690362)),
     "sigma-nan": (lambda x: -x, lambda x: np.where(x > 0.6, np.nan, 1.0),
-                  0.5, 1e9, EvaluationError),
-    "sigma-zero": (lambda x: -x, np.zeros_like, 0.5, 1e9, DomainError),
-    "outward": (lambda x: x, ONE, 5.0, 1e4, NumericalBlowupError),
-    "guard-before-drift": (NAN_PAST, ONE, 5.0, 1.0, NumericalBlowupError),
-    "sigma-before-drift": (NAN_PAST, np.zeros_like, 5.0, 1e9, DomainError),
+                  0.5, 1e9, EvaluationError,
+                  NAN_AT.format(0.6195331532690362)),
+    "sigma-zero": (lambda x: -x, np.zeros_like, 0.5, 1e9, DomainError,
+                   "sigma^2 vanishes at x=np.float64(0.5)"),
+    "outward": (lambda x: x, ONE, 5.0, 1e4, NumericalBlowupError,
+                "outward: |X| exceeded guard 10000; is the model recurrent?"),
+    "guard-before-drift": (NAN_PAST, ONE, 5.0, 1.0, NumericalBlowupError,
+                           "guard-before-drift: |X| exceeded guard 1; "
+                           "is the model recurrent?"),
+    "sigma-before-drift": (NAN_PAST, np.zeros_like, 5.0, 1e9, DomainError,
+                           "sigma^2 vanishes at x=np.float64(5.0)"),
+    "rows-fail-apart": (lambda x: np.where(x > 0.52, np.nan, -x), ONE, 0.5,
+                        1e9, EvaluationError,
+                        NAN_AT.format(0.5216530063742902)),
 }
 
 
 @pytest.mark.parametrize("driver", ["hitting", "regeneration"])
 @pytest.mark.parametrize("case", sorted(FAILING_STEPS))
 def test_step_checks_raise_in_both_drivers(case, driver):
-    drift, sigma, x0, guard, error = FAILING_STEPS[case]
+    drift, sigma, x0, guard, error, message = FAILING_STEPS[case]
     model = DiffusionModel(drift, sigma, label=case)
     cfg = _cfg(horizon=10.0, replicas=50, initial=x0, blowup_guard=guard)
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         if driver == "hitting":
             estimate_hitting_moments(model, cfg, x0, -1.0, (1,))
         else:
             simulate_paths(model, cfg, INDICATOR)
+    assert str(raised.value) == message
+
+
+def test_kernel_block_ends_at_its_first_failing_step():
+    # row 0 jumps past the NaN region's edge at step 3, row 1 past the guard
+    # at step 7; the unchecked steps run on to the end, and the block check
+    # must end the block at step 3, with the steps before it exact
+    model = DiffusionModel(lambda x: np.where(x > 10.0, np.nan, 0.0), 1.0)
+    cfg = _cfg(step=1.0, horizon=12.0, blowup_guard=1e9)
+    z = np.zeros((12, 4))
+    z[2, 0], z[6, 1] = 100.0, 1e12
+    T = np.zeros((13, 4))
+    assert simulator._euler_block(model, cfg, T, z) == (3, None)
+    assert T[3].tolist() == [100.0, 0.0, 0.0, 0.0]
+    with pytest.raises(EvaluationError, match=r"x=np.float64\(100.0\)"):
+        simulator._euler_block(model, cfg, T[3:], z[3:])
 
 
 NAN_BELOW = lambda x: np.where(x < -0.3, np.nan, -x)
