@@ -181,7 +181,7 @@ class DiffusionModel:
         The coefficients come from ``sigma_sq`` and ``drift``; a constant
         sigma^2 is returned as that scalar instead.  The Euler kernel steps
         with ``unchecked_coefficients`` and calls this once per block, on
-        all the states it stepped from.
+        all the states it stepped from, unless ``pointwise()``.
         """
         if not abs(x).max(initial=0.0) <= guard \
                 and np.any(np.abs(x) > guard):
@@ -199,6 +199,11 @@ class DiffusionModel:
         if s2 is None:
             s2 = self._sigma.unchecked(x) ** 2
         return self._drift.unchecked(x), s2
+
+    def pointwise(self) -> bool:
+        """Whether the drift or a callable sigma has proved scalar-only."""
+        return self._drift.scalar() or (self.constant_sigma_sq is None
+                                        and self._sigma.scalar())
 
     def model_hash(self) -> str:
         payload = f"{self.label}|anchor={self.anchor}|quad={astuple(self.quad)}"

@@ -99,6 +99,7 @@ def vectorize_integrand(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
         return _check_finite(xs, unchecked(xs))
 
     wrapped.unchecked = unchecked
+    wrapped.scalar = lambda: mode["scalar"]     # f has proved scalar-only
     return wrapped
 
 

@@ -23,15 +23,15 @@ stable sort at the end.  With ``max_cycles`` no row may step
 past its last event, so the kernel tests each row's level per step and ends
 the block at the first event.
 
-The steps of a block run unchecked; then the checks of
-``DiffusionModel.step_coefficients`` (the guard, sigma^2 > 0, finite drift
-and sigma) run once over all the states the block stepped from, as one
-guard reduction and one call each of ``sigma_sq`` and ``drift``.  A constant
-sigma is checked when the model is built, and its sigma^2 enters the step
-as a scalar.  A check that fails ends the block at its first failing step;
-the steps before it are resolved and the step is retried with the rows
-still live, so errors keep their type, message and order, and a failure
-only on a replica that has already hit raises nothing.
+The steps of a block run unchecked (a floating-point error ends them);
+then the checks of ``DiffusionModel.step_coefficients`` (the guard,
+sigma^2 > 0, finite drift and sigma) run once over the states the block
+stepped from.  A block that fails them is stepped again with the checks,
+which end it at its first failing step; the caller resolves the steps
+before it and retries the step with the rows still live, so errors and
+warnings are those of per-step checks, and a failure only after a hit
+raises nothing.  Scalar-only coefficients are checked at every step, and
+a constant sigma's sigma^2, checked when the model is built, is a scalar.
 
 Randomness is counter-based: replica r in block b reads noise row (r mod B)
 of the block.  The block's rows form lanes of L consecutive rows; each lane
@@ -302,10 +302,10 @@ def _euler_block(model: DiffusionModel, cfg: SimConfig, T: np.ndarray,
     """Euler steps T[k] -> T[k + 1] with noise z[k], for k < K = len(z).
 
     Returns (steps taken, crossing tests of the last step or None).  The
-    steps run unchecked; ``step_coefficients`` then checks the states
-    stepped from, T[:K], at once.  The first step k that fails (found by
-    elementwise masks) ends the block: the caller resolves the steps
-    before it and retries step k first in the next block, where it raises.
+    steps run unchecked, up to one with a floating-point error; then
+    ``step_coefficients`` checks T[:K].  If that fails, the steps run again
+    checked, and the first step k that fails ends the block: the caller
+    resolves the steps before it and retries step k first in the next block.
     ``s2_out[k]`` gets a callable sigma's sigma^2 at T[k].  With ``level``
     (one per row) each step runs that level's crossing tests, with
     uniforms u[k], and the first step where one fires ends the block.
@@ -334,22 +334,16 @@ def _euler_block(model: DiffusionModel, cfg: SimConfig, T: np.ndarray,
                     return k + 1, tests
         return len(z), None
 
-    K = 0
-    try:
-        K, tests = steps(model.unchecked_coefficients)
+    checked = lambda x: model.step_coefficients(x, guard)
+    if model.pointwise():   # a second evaluation would cost as much again
+        return steps(checked)
+    try:    # a step that would warn ends the unchecked steps there
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            K, tests = steps(model.unchecked_coefficients)
         model.step_coefficients(T[:K].reshape(-1), guard)    # the checks
         return K, tests
-    except Exception:
-        X = T[:K].reshape(-1)
-    try:        # the first step with a failing check (or a NaN state)
-        d, s2 = model.unchecked_coefficients(X)
-        ok = (abs(X) <= guard) & np.isfinite(d) & (0 < s2) & (s2 < np.inf)
-        k = int(np.flatnonzero(~ok.reshape(K, -1).all(axis=1))[0])
-        if k > 0:
-            return k, None  # deferred: the next block retries step k
-    except Exception:       # none found, or the coefficients raise
-        pass            # step 0 raises, or holds a NaN: run the block checked
-    return steps(lambda x: model.step_coefficients(x, guard))
+    except Exception:   # checked again, the block ends at its first failure
+        return steps(checked)
 
 
 def _crossing_tests(x0: np.ndarray, x1: np.ndarray, lvl, s2, u, h: float):

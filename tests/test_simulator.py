@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,8 +264,8 @@ def test_step_checks_raise_in_both_drivers(case, driver):
 
 def test_kernel_block_ends_at_its_first_failing_step():
     # row 0 jumps past the NaN region's edge at step 3, row 1 past the guard
-    # at step 7; the unchecked steps run on to the end, and the block check
-    # must end the block at step 3, with the steps before it exact
+    # at step 7; the unchecked steps run on to the end, and the failed block
+    # check must end the block at step 3, with the steps before it exact
     model = DiffusionModel(lambda x: np.where(x > 10.0, np.nan, 0.0), 1.0)
     cfg = _cfg(step=1.0, horizon=12.0, blowup_guard=1e9)
     z = np.zeros((12, 4))
@@ -274,6 +275,41 @@ def test_kernel_block_ends_at_its_first_failing_step():
     assert T[3].tolist() == [100.0, 0.0, 0.0, 0.0]
     with pytest.raises(EvaluationError, match=r"x=np.float64\(100.0\)"):
         simulator._euler_block(model, cfg, T[3:], z[3:])
+
+
+@pytest.mark.parametrize("driver", ["hitting", "regeneration"])
+def test_blowup_past_the_guard_warns_nothing(driver):
+    # Euler on -x^3 from 100 with step 1e-3 swings to -900, 7.3e5, then
+    # -3.9e14, past the guard (never crossing the target 1e6), and would
+    # overflow two steps later; the unchecked steps of the block go that
+    # far, and no RuntimeWarning may show for it
+    model = DiffusionModel(lambda x: -x ** 3, 1.0, label="cubic")
+    cfg = _cfg(horizon=10.0, replicas=50, initial=100.0)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalBlowupError,
+                           match=r"cubic: \|X\| exceeded guard 1e\+09"):
+            if driver == "hitting":
+                estimate_hitting_moments(model, cfg, 100.0, 1e6, (1,))
+            else:
+                simulate_paths(model, cfg, INDICATOR)
+    assert [str(w.message) for w in seen] == []
+
+
+def test_a_warning_drift_warns_and_steps_as_its_silent_twin():
+    # tanh(exp(1000 x)) overflows in exp for x > 0.71, with a RuntimeWarning,
+    # but is 1.0 there, as is tanh(exp(700)): the blocks where it warns are
+    # stepped checked, so the warning shows and the paths are the twin's
+    warn = DiffusionModel(lambda x: -x * np.tanh(np.exp(1000.0 * x)), 1.0)
+    twin = DiffusionModel(
+        lambda x: -x * np.tanh(np.exp(np.minimum(1000.0 * x, 700.0))), 1.0)
+    cfg = _cfg(horizon=5.0, replicas=64)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = simulate_paths(warn, cfg, INDICATOR)
+    assert any("overflow" in str(w.message) for w in seen)
+    assert _batch_bytes(got) == _batch_bytes(simulate_paths(twin, cfg,
+                                                            INDICATOR))
 
 
 NAN_BELOW = lambda x: np.where(x < -0.3, np.nan, -x)
@@ -310,6 +346,20 @@ def test_scalar_only_drift_matches_array_twin():
                  for b in (scalar, twin))
     assert got == want
     assert got[0].n_used > 32
+
+
+def test_scalar_only_drift_is_evaluated_once_per_step():
+    # checking a pointwise drift again over each block would double its
+    # cost, so only the first block, which finds it scalar-only, does that
+    calls = [0]
+
+    def scalar(x):
+        calls[0] += 1
+        return -x * math.exp(-x * x / 4.0)
+
+    cfg = _cfg(horizon=5.0, replicas=64)
+    simulate_paths(DiffusionModel(scalar, 1.0), cfg, INDICATOR)
+    assert 0 <= calls[0] - cfg.n_steps * cfg.replicas <= simulator._CELLS + 1
 
 
 def _batch_bytes(batch) -> list:
