@@ -118,10 +118,12 @@ class RecurrenceReport:
 class DiffusionModel:
     """Immutable diffusion dX = beta dt + sigma dW with cached scale objects.
 
-    ``diffusion`` is a callable sigma(x) or a real number c for a constant
-    sigma.  A number must give a positive, finite sigma^2 = c*c, checked
-    once here (DomainError otherwise) and kept as ``constant_sigma_sq``
-    (None for a callable sigma), so the Euler kernel need not screen it.
+    ``drift`` and a callable sigma follow the array contract of
+    ``vectorize_integrand``; ``diffusion`` may also be a real number c for a
+    constant sigma.  A number must give a positive, finite sigma^2 = c*c,
+    checked once here (DomainError otherwise) and kept as
+    ``constant_sigma_sq`` (None for a callable sigma), so the Euler kernel
+    need not screen it.
 
     All methods are pure; the panel sums behind B and S are append-only,
     and each extension is computed from the panel edges alone, so instances
@@ -181,7 +183,7 @@ class DiffusionModel:
         The coefficients come from ``sigma_sq`` and ``drift``; a constant
         sigma^2 is returned as that scalar instead.  The Euler kernel steps
         with ``unchecked_coefficients`` and calls this once per block, on
-        all the states it stepped from, unless ``pointwise()``.
+        all the states it stepped from.
         """
         if not abs(x).max(initial=0.0) <= guard \
                 and np.any(np.abs(x) > guard):
@@ -199,11 +201,6 @@ class DiffusionModel:
         if s2 is None:
             s2 = self._sigma.unchecked(x) ** 2
         return self._drift.unchecked(x), s2
-
-    def pointwise(self) -> bool:
-        """Whether the drift or a callable sigma has proved scalar-only."""
-        return self._drift.scalar() or (self.constant_sigma_sq is None
-                                        and self._sigma.scalar())
 
     def model_hash(self) -> str:
         payload = f"{self.label}|anchor={self.anchor}|quad={astuple(self.quad)}"
@@ -339,7 +336,7 @@ class DiffusionModel:
         report = self.classify_recurrence()
         if not report.is_positive_recurrent:
             raise NotPositiveRecurrentError(self.label)
-        fv = vectorize_integrand(f)
+        fv = vectorize_integrand(f).unchecked   # integrate_finite checks
         res = integrate_finite(
             lambda xs: fv(xs) * self.speed_density(xs), lo, hi, self.quad)
         return res.value / report.speed_mass

@@ -155,7 +155,7 @@ def first_block_sup(model: DiffusionModel, a: float, b: float, f,
     lo, hi = support
     S = model.scale_function
     m = model.speed_density
-    fv = vectorize_integrand(f)
+    fv = vectorize_integrand(f).unchecked   # integrate_finite checks
     sa, sb = float(S(a)), float(S(b))
 
     def part(weight, x0: float, x1: float) -> float:
@@ -173,6 +173,13 @@ def first_block_sup(model: DiffusionModel, a: float, b: float, f,
     return max(from_below, from_above) + back
 
 
+def _grid(x_grid) -> np.ndarray:
+    xs = np.asarray(x_grid, dtype=float)
+    if xs.size == 0 or not np.isfinite(xs).all():
+        raise DomainError("x_grid must be non-empty and finite")
+    return xs
+
+
 def exit_moment_table(model: DiffusionModel, a: float, b: float,
                       x_grid, n: int, rel_tol: float = 1e-7) -> MomentTable:
     """Iterated two-sided exit moments E_x T_{a,b}^k, k = 0..n."""
@@ -180,7 +187,7 @@ def exit_moment_table(model: DiffusionModel, a: float, b: float,
         raise DomainError("order n must be >= 1")
     if not a < b:
         raise DomainError("exit table needs a < b")
-    xs = np.asarray(x_grid, dtype=float)
+    xs = _grid(x_grid)
     if np.any(xs < a) or np.any(xs > b):
         raise DomainError("x_grid must lie inside [a, b]")
     values, _ = _table(model, a, xs, n, rel_tol, b)
@@ -199,7 +206,7 @@ def hitting_moment_table(model: DiffusionModel, target: float, side: str,
         raise DomainError(f"side must be {FROM_BELOW!r} or {FROM_ABOVE!r}")
     if n < 0:
         raise DomainError("order n must be >= 0")
-    xs = np.asarray(x_grid, dtype=float)
+    xs = _grid(x_grid)
     if side == FROM_ABOVE and np.any(xs <= target):
         raise DomainError("from_above needs every grid point above the target")
     if side == FROM_BELOW and np.any(xs >= target):

@@ -74,32 +74,29 @@ class QuadratureResult:
 
 
 def vectorize_integrand(f: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap ``f`` so it maps a float ndarray to a float ndarray.
+    """Wrap ``f``, which maps a float array to a float array of the same
+    shape or returns a number (0-d, broadcast to that shape).
 
-    Array-aware callables pass through with just a dtype/shape check; scalar
-    callables are evaluated pointwise.  Non-finite outputs raise
-    EvaluationError (``.unchecked`` is the same evaluation without that check).
+    Any other shape raises EvaluationError, as does a non-finite value
+    (``.unchecked`` is the same evaluation without the finiteness check);
+    an error ``f`` raises itself propagates.  A function of one number is
+    passed through ``np.vectorize`` first.
     """
-    mode = {"scalar": False}
-
     def unchecked(xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        if not mode["scalar"]:
-            try:
-                ys = np.asarray(f(xs), dtype=float)
-                if ys.shape == xs.shape:
-                    return ys
-            except (TypeError, ValueError, IndexError):
-                pass
-            mode["scalar"] = True
-        ys = np.fromiter((float(f(x)) for x in xs), dtype=float, count=xs.size)
-        return ys.reshape(xs.shape)
+        ys = np.asarray(f(xs), dtype=float)
+        if ys.shape == xs.shape:
+            return ys
+        if ys.ndim == 0:
+            return np.full(xs.shape, ys)
+        raise EvaluationError(
+            f"callable returned shape {ys.shape} for input shape {xs.shape}; "
+            "it must map an array to one of the same shape or return a number")
 
     def wrapped(xs: np.ndarray) -> np.ndarray:
         return _check_finite(xs, unchecked(xs))
 
     wrapped.unchecked = unchecked
-    wrapped.scalar = lambda: mode["scalar"]     # f has proved scalar-only
     return wrapped
 
 
@@ -202,7 +199,7 @@ def integrate_finite(f: Callable, a: float, b: float,
     if a == b:
         return QuadratureResult(0.0, 0.0, 0)
     value, err, used = _panel_integrals(
-        vectorize_integrand(f), np.array([a], dtype=float),
+        vectorize_integrand(f).unchecked, np.array([a], dtype=float),
         np.array([b], dtype=float), cfg.rel_tol, cfg.abs_tol)
     return QuadratureResult(float(value[0]), float(err[0]), used)
 

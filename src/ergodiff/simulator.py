@@ -30,8 +30,8 @@ stepped from.  A block that fails them is stepped again with the checks,
 which end it at its first failing step; the caller resolves the steps
 before it and retries the step with the rows still live, so errors and
 warnings are those of per-step checks, and a failure only after a hit
-raises nothing.  Scalar-only coefficients are checked at every step, and
-a constant sigma's sigma^2, checked when the model is built, is a scalar.
+raises nothing.  A constant sigma's sigma^2, checked when the model is
+built, is a scalar.
 
 Randomness is counter-based: replica r in block b reads noise row (r mod B)
 of the block.  The block's rows form lanes of L consecutive rows; each lane
@@ -334,16 +334,13 @@ def _euler_block(model: DiffusionModel, cfg: SimConfig, T: np.ndarray,
                     return k + 1, tests
         return len(z), None
 
-    checked = lambda x: model.step_coefficients(x, guard)
-    if model.pointwise():   # a second evaluation would cost as much again
-        return steps(checked)
     try:    # a step that would warn ends the unchecked steps there
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             K, tests = steps(model.unchecked_coefficients)
         model.step_coefficients(T[:K].reshape(-1), guard)    # the checks
         return K, tests
     except Exception:   # checked again, the block ends at its first failure
-        return steps(checked)
+        return steps(lambda x: model.step_coefficients(x, guard))
 
 
 def _crossing_tests(x0: np.ndarray, x1: np.ndarray, lvl, s2, u, h: float):

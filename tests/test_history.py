@@ -1,10 +1,10 @@
-"""The scale/speed layer and the moment tables built on it give bitwise-equal
-results whatever calls the same model answered before."""
+"""The coefficient and scale/speed layers and the moment tables built on them
+give bitwise-equal results whatever calls the same model answered before."""
 
 import numpy as np
 import pytest
 
-from ergodiff.diffusion import bounded_drift, ou
+from ergodiff.diffusion import DiffusionModel, bounded_drift, ou
 from ergodiff.kac import hitting_moment_table
 from ergodiff.quadrature import QuadratureConfig
 
@@ -70,3 +70,23 @@ def test_model_hash_covers_quadrature_config():
     assert ou(1.0, quad=QuadratureConfig(rel_tol=1e-8)).model_hash() != base
     assert ou(1.0, quad=QuadratureConfig(abs_tol=1e-11)).model_hash() != base
     assert ou(1.0, anchor=0.5).model_hash() != base
+
+
+def test_a_failed_call_leaves_the_drift_an_array_call():
+    # a tabulated drift raises IndexError outside its table; that must not
+    # turn later calls on arrays into one call per point
+    table = -np.linspace(0.0, 1.0, 21)
+    calls = []
+
+    def drift(x):
+        calls.append(np.shape(x))
+        return table[np.round(x * 20.0).astype(int)]
+
+    model = DiffusionModel(drift, 1.0, label="tabulated")
+    probes = np.linspace(0.0, 1.0, 9)
+    fresh = model.drift(probes)
+    with pytest.raises(IndexError):
+        model.drift(np.array([5.0]))
+    calls.clear()
+    assert np.array_equal(model.drift(probes), fresh)
+    assert calls == [(9,)]

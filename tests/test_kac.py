@@ -7,7 +7,10 @@ from scipy import integrate as sci
 from scipy import special
 
 from ergodiff import kac
-from ergodiff.diffusion import DiffusionModel, bounded_drift, brownian, ou
+from ergodiff.bounds import (MomentBoundParams, moment_lower_bound,
+                             moment_upper_bound)
+from ergodiff.diffusion import (AssumptionParams, DiffusionModel,
+                                bounded_drift, brownian, ou)
 from ergodiff.errors import (DomainError, InconclusiveError,
                              NonConvergenceError, NotPositiveRecurrentError,
                              NumericalBlowupError)
@@ -63,11 +66,17 @@ def test_exit_boundary_zeros(ou1):
         assert abs(tbl.order(k)[-1]) < 1e-12
 
 
+BAD_GRIDS = ([], [0.5, np.nan], [np.inf], [-np.inf])
+
+
 def test_exit_table_rejects_outside_grid(bm):
     with pytest.raises(DomainError):
         exit_moment_table(bm, 0.0, 1.0, np.array([1.5]), 1)
     with pytest.raises(DomainError):
         exit_moment_table(bm, 1.0, 1.0, np.array([1.0]), 1)
+    for grid in BAD_GRIDS:
+        with pytest.raises(DomainError, match="x_grid must be non-empty"):
+            exit_moment_table(bm, 0.0, 1.0, grid, 1)
 
 
 # -- first-block constant c_f of the L1 bound -------------------------------
@@ -213,6 +222,10 @@ def test_hitting_grid_side_validation(ou1):
         hitting_moment_table(ou1, 0.0, "from_above", np.array([-1.0]), 1)
     with pytest.raises(DomainError):
         hitting_moment_table(ou1, 0.0, "from_below", np.array([1.0]), 1)
+    for side in ("from_above", "from_below"):
+        for grid in BAD_GRIDS:
+            with pytest.raises(DomainError, match="x_grid must be non-empty"):
+                hitting_moment_table(ou1, 0.0, side, grid, 1)
 
 
 def test_tail_fit_matches_growth_exponent():
@@ -434,6 +447,31 @@ def test_gamma_family_verdicts_follow_the_order_threshold(theta, gamma):
             assert np.all(np.isfinite(row) & (row > 0)), k
         else:
             assert np.all(np.isinf(row)), k
+
+
+@pytest.mark.parametrize("theta, gamma", [
+    (2.2, 0.0), (3.0, 0.0),        # bounded_drift
+    (2.0, 0.25), (1.5, 0.3),       # the sigma != 1 gamma family
+])
+def test_orders_1_and_2_lie_inside_the_polynomial_bounds(theta, gamma):
+    # the envelope of both families for |x| > m0: sigma0 = 1, delta = gamma,
+    # sigma1 = (1 + 1/m0^2)^(gamma/2), and -x beta / sigma^2 = theta x^2 /
+    # (1 + x^2) between r = theta m0^2 / (1 + m0^2) and R = theta
+    m0, a, xs = 3.0, 4.0, [5.0, 8.0, 12.0]
+    model = (bounded_drift(theta) if gamma == 0.0
+             else _gamma_family(theta, gamma))
+    params = AssumptionParams(
+        m0, sigma0=1.0, gamma=gamma, r=theta * m0 ** 2 / (1.0 + m0 ** 2),
+        sigma1=(1.0 + 1.0 / m0 ** 2) ** (gamma / 2.0), delta=gamma,
+        r_cap=theta)
+    report = model.check_assumptions(params, np.linspace(-200.0, 200.0, 801))
+    assert report.lower_ok and report.upper_ok
+    tbl = hitting_moment_table(model, a, "from_above", xs, 2)
+    for k in (1, 2):
+        bound = MomentBoundParams.from_assumptions(params, k)
+        for x, value in zip(xs, tbl.order(k)):
+            assert (moment_lower_bound(bound, x, a) <= value
+                    <= moment_upper_bound(bound, x)), (k, x)
 
 
 def test_missed_tolerance_raises(monkeypatch, ou1):

@@ -35,9 +35,15 @@ def test_endpoint_order_rejected():
         integrate_finite(lambda x: x, 1.0, 0.0)
 
 
-def test_scalar_fallback():
-    res = integrate_finite(math.sin, 0.0, math.pi)
-    assert abs(res.value - 2.0) < 1e-10
+def test_integrand_must_map_arrays():
+    # 15 GK nodes in, 3 values out: neither the same shape nor a number
+    with pytest.raises(EvaluationError, match=r"shape \(3,\) for input "
+                                              r"shape \(15,\)"):
+        integrate_finite(lambda x: np.ones(3), 0.0, 1.0)
+    with pytest.raises(TypeError):      # the callable's own error
+        integrate_finite(math.sin, 0.0, math.pi)
+    res = integrate_finite(lambda x: 2.0, 0.0, 1.0)    # a number, broadcast
+    assert res.value == pytest.approx(2.0)
 
 
 def test_non_finite_integrand():

@@ -86,24 +86,26 @@ def test_degenerate_sigma_raises_domain_error():
         simulate_paths(bad, _cfg(horizon=1.0, replicas=1), INDICATOR)
 
 
-def _ou_callable_sigma() -> DiffusionModel:
+def _ou_callable_sigma(sigma=np.ones_like) -> DiffusionModel:
     """ou(1) with sigma = 1 passed as a callable, not as a number."""
-    return DiffusionModel(lambda x: -x, lambda x: np.ones_like(x),
-                          label="ou(1)")
+    return DiffusionModel(lambda x: -x, sigma, label="ou(1)")
 
 
 @pytest.mark.parametrize("crossing", CROSSING_RULES)
 def test_constant_sigma_gives_the_callable_sigma_paths(crossing):
+    # sigma as a number, as an array callable, and as a callable returning
+    # a number, which is broadcast
+    models = (ou(1.0), _ou_callable_sigma(), _ou_callable_sigma(lambda x: 1.0))
     cfg = _cfg(step=5e-3, horizon=10.0, replicas=300, seed=22,
                crossing=crossing)
     for target in (0.0, -1.0):
-        got, want = (estimate_hitting_moments(m, cfg, 0.5, target, (1, 2))
-                     for m in (ou(1.0), _ou_callable_sigma()))
-        assert got == want
-    got, want = (_batch_bytes(simulate_paths(m, cfg, INDICATOR,
-                                             checkpoints=[5.0, 10.0]))
-                 for m in (ou(1.0), _ou_callable_sigma()))
-    assert got == want
+        want, *got = (estimate_hitting_moments(m, cfg, 0.5, target, (1, 2))
+                      for m in models)
+        assert got == [want, want]
+    want, *got = (_batch_bytes(simulate_paths(m, cfg, INDICATOR,
+                                              checkpoints=[5.0, 10.0]))
+                  for m in models)
+    assert got == [want, want]
 
 
 def test_constant_sigma_is_not_evaluated_per_step(monkeypatch):
@@ -335,33 +337,6 @@ def test_step_checks_after_a_hit_raise_nothing(crossing):
     assert est.estimate == pytest.approx(AFTER_HIT[crossing], rel=1e-12)
 
 
-def test_scalar_only_drift_matches_array_twin():
-    # math.exp raises TypeError on an array, so this drift is evaluated point
-    # by point; its array-aware twin must give the same hitting times
-    scalar = lambda x: -x * math.exp(-x * x / 4.0)
-    twin = np.vectorize(scalar, otypes=[float])
-    cfg = _cfg(horizon=5.0, replicas=64, initial=1.0, crossing="bridge")
-    got, want = (estimate_hitting_moments(DiffusionModel(b, ONE), cfg, 1.0,
-                                          0.0, (1, 2, 3))
-                 for b in (scalar, twin))
-    assert got == want
-    assert got[0].n_used > 32
-
-
-def test_scalar_only_drift_is_evaluated_once_per_step():
-    # checking a pointwise drift again over each block would double its
-    # cost, so only the first block, which finds it scalar-only, does that
-    calls = [0]
-
-    def scalar(x):
-        calls[0] += 1
-        return -x * math.exp(-x * x / 4.0)
-
-    cfg = _cfg(horizon=5.0, replicas=64)
-    simulate_paths(DiffusionModel(scalar, 1.0), cfg, INDICATOR)
-    assert 0 <= calls[0] - cfg.n_steps * cfg.replicas <= simulator._CELLS + 1
-
-
 def _batch_bytes(batch) -> list:
     """Every number of a BatchResult, bit for bit (nan included)."""
     arrays = [batch.checkpoints, batch.additive_at]
@@ -369,18 +344,6 @@ def _batch_bytes(batch) -> list:
         arrays += [s.r_times, s.s_times, s.cycle_integrals,
                    np.array([s.first_block, s.n_t, s.additive_integral])]
     return [np.asarray(a, dtype=float).tobytes() for a in arrays]
-
-
-def test_scalar_only_integrand_matches_array_twin():
-    # the regeneration driver evaluates f over whole kernel blocks; a scalar
-    # f must see them as one flat array of points
-    scalar = lambda x: math.exp(-x * x)
-    twin = np.vectorize(scalar, otypes=[float])
-    cfg = _cfg(step=5e-3, horizon=10.0, replicas=40)
-    got, want = (_batch_bytes(simulate_paths(ou(1.0), cfg, g,
-                                             checkpoints=[2.5, 5.0, 10.0]))
-                 for g in (scalar, twin))
-    assert got == want
 
 
 def test_monte_carlo_matches_recursion_fifth_point():
