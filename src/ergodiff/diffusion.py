@@ -127,7 +127,9 @@ class DiffusionModel:
 
     All methods are pure; the panel sums behind B and S are append-only,
     and each extension is computed from the panel edges alone, so instances
-    can be shared across threads.
+    can be shared across threads.  The integrands behind B and S close over
+    the coefficients and B only, so a model holds no reference to itself
+    and is freed, with its panel sums, when its last reference goes.
     """
 
     def __init__(self, drift: Callable, diffusion: Callable | float,
@@ -147,13 +149,15 @@ class DiffusionModel:
         self.label = label or "anonymous"
         self.anchor = float(anchor)
         self.quad = quad
-        # B(x) = 2 * int_anchor^x beta/sigma^2; s = exp(-B)
-        self._log_scale = Antiderivative(
-            lambda xs: 2.0 * self._drift(xs) / self.sigma_sq(xs),
+        # B(x) = 2 * int_anchor^x beta/sigma^2; s = exp(-B).  Neither
+        # integrand refers to self, so a model is no reference cycle.
+        drift, sigma = self._drift, self._sigma
+        self._log_scale = log_scale = Antiderivative(
+            lambda xs: 2.0 * drift(xs) / _sigma_sq(sigma, xs),
             anchor=self.anchor, rel_tol=quad.rel_tol * 0.1,
             abs_tol=quad.abs_tol * 0.1)
         self._scale_integral = Antiderivative(
-            lambda xs: np.exp(-self._log_scale.values(xs)),
+            lambda xs: np.exp(-log_scale.values(xs)),
             anchor=self.anchor, rel_tol=quad.rel_tol * 0.1,
             abs_tol=quad.abs_tol * 0.1)
         self._recurrence: RecurrenceReport | None = None
@@ -167,11 +171,7 @@ class DiffusionModel:
         return self._sigma(np.atleast_1d(np.asarray(x, dtype=float)))
 
     def sigma_sq(self, x) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        s2 = self._sigma(xs) ** 2
-        if not s2.min(initial=np.inf) > 0 and np.any(s2 <= 0):
-            raise DomainError(f"sigma^2 vanishes at x={xs[s2 <= 0].flat[0]!r}")
-        return s2
+        return _sigma_sq(self._sigma, np.atleast_1d(np.asarray(x, dtype=float)))
 
     def step_coefficients(self, x: np.ndarray, guard: float):
         """(drift, sigma^2) at an Euler state x, a 1-d float array.
@@ -343,6 +343,14 @@ class DiffusionModel:
 
     def __repr__(self):
         return f"DiffusionModel({self.label!r}, anchor={self.anchor})"
+
+
+def _sigma_sq(sigma: Callable, xs: np.ndarray) -> np.ndarray:
+    """sigma(xs)^2, checked positive (DomainError names the first zero)."""
+    s2 = sigma(xs) ** 2
+    if not s2.min(initial=np.inf) > 0 and np.any(s2 <= 0):
+        raise DomainError(f"sigma^2 vanishes at x={xs[s2 <= 0].flat[0]!r}")
+    return s2
 
 
 def _worst(name: str, grid: np.ndarray, slack: np.ndarray) -> InequalityCheck:

@@ -9,6 +9,9 @@ at every node of a moment table.  Every gap's value depends only on its own
 endpoints, never on the other gaps of the batch, so results do not depend
 on how queries are batched or ordered.
 
+The fixed panel edges of an ``Antiderivative`` are one shared, read-only
+pair of arrays per anchor, not a copy per instance.
+
 ``tail`` integrates over a ray with the same engine on a geometric grid and
 adds the remainder beyond the grid from the integrand's endpoint power, the
 idea of QUADPACK's QAGI mapping of [a, inf) onto (0, 1] (Piessens et al.,
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -39,6 +43,16 @@ _OFFSETS = np.concatenate([
     np.arange(int(_FINE_REACH / _FINE_STEP)) * _FINE_STEP,
     np.cumprod(np.r_[_FINE_REACH, np.full(_N_GEOMETRIC - 1, _RATIO)]),
 ])
+
+
+@lru_cache(maxsize=8)
+def _shared_edges(anchor: float, sign: float) -> tuple:
+    """The edges above and below ``anchor``, read-only, shared by every
+    Antiderivative with that anchor (``sign``, the anchor's sign bit, keeps
+    -0.0 apart from 0.0, which compare equal as keys)."""
+    above, below = anchor + _OFFSETS, anchor - _OFFSETS
+    above.flags.writeable = below.flags.writeable = False
+    return above, below
 
 
 # A tail's grid: distances 0 and unit * 2^j from its start, out to about 1e12
@@ -159,13 +173,14 @@ def cumulative_panels(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray,
 class Antiderivative:
     """F(x) = integral of g from ``anchor`` to x, with batch evaluation.
 
-    Each side of the anchor is cut at fixed edges (``_OFFSETS``).  F at an
-    edge is the ordered running sum of the whole panels between the anchor
-    and that edge, and F(x) is F at the last edge between the anchor and x
-    plus one adaptive panel from that edge to x.  The running sums are
-    memoized and only ever extended, and g is never evaluated beyond the
-    queried points; so F(x) depends only on g, the tolerances and x,
-    whatever was evaluated before.
+    Each side of the anchor is cut at fixed edges (``_OFFSETS``), one
+    shared, read-only pair of arrays per anchor.  F at an edge is the
+    ordered running sum of the whole panels between the anchor and that
+    edge, and F(x) is F at the last edge between the anchor and x plus one
+    adaptive panel from that edge to x.  The running sums are memoized and
+    only ever extended, and g is never evaluated beyond the queried points;
+    so F(x) depends only on g, the tolerances and x, whatever was evaluated
+    before.
     """
 
     def __init__(self, g: Callable[[np.ndarray], np.ndarray], anchor: float = 0.0,
@@ -176,7 +191,9 @@ class Antiderivative:
         self._abs = abs_tol
         # per side (+1 above the anchor, -1 below): edges moving away from
         # the anchor, and F at the edges materialized so far
-        self._edges = {1: self.anchor + _OFFSETS, -1: self.anchor - _OFFSETS}
+        above, below = _shared_edges(self.anchor,
+                                     math.copysign(1.0, self.anchor))
+        self._edges = {1: above, -1: below}
         self._sums = {1: np.zeros(1), -1: np.zeros(1)}
 
     def _edge_sums(self, side: int, j: np.ndarray) -> np.ndarray:

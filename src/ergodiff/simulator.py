@@ -41,7 +41,9 @@ chunk).  A lane is drawn only while it holds a live replica, and only up
 to its last live row; every replica's path is a pure function of (seed,
 replica index) -- independent of how many replicas run and of which lanes
 and rows are drawn.  Blocks run one after another in index order, so
-results are bitwise reproducible.
+results are bitwise reproducible.  The noise buffers and the kernel's
+trajectory buffers are allocated once per driver call, sized for its widest
+block, and reused by every RNG block.
 
 The estimators simulate nothing: each reads one ``simulate_paths`` result,
 whose horizon, checkpoints and ``max_cycles`` it carries.
@@ -247,22 +249,23 @@ def _block_layout(n: int):
 
 # -- Euler/level-crossing kernel ------------------------------------------------
 
-def _noise(cfg: SimConfig, block: int, n_rep: int, live_rows):
+def _noise(cfg: SimConfig, block: int, n_rep: int, live_rows, noise: tuple):
     """Yield (first step, normals, uniforms or None) for every noise chunk.
 
     The arrays have one row per noise row of the block and one column per
-    step of the chunk.  Lane k holds rows k*_LANE up to (k+1)*_LANE and
-    draws its rows' noise for a chunk, row after row, from its own counter
-    range (see ``_lane_stream``), so a row's noise does not depend on the
-    other lanes or on the block's width.  At each chunk start
+    step of the chunk: the first ``n_rep`` rows of the call's ``noise``
+    buffers (see ``_buffers``).  Lane k holds rows k*_LANE up to
+    (k+1)*_LANE and draws its rows' noise for a chunk, row after row, from
+    its own counter range (see ``_lane_stream``), so a row's noise does not
+    depend on the other lanes or on the block's width.  At each chunk start
     ``live_rows()`` gives the driver's live noise rows, ascending, and each
     lane holding one is refilled, in place, into one buffer per kind, from
     its first row up to its last live row: rows only ever leave, so the rows
     past it are never read again.  The arrays are valid only until the
     driver asks for the next chunk, and only at those live rows.
     """
-    Z = np.empty((n_rep, _CHUNK))
-    U = np.empty((n_rep, _CHUNK)) if cfg.crossing == "bridge" else None
+    Z, U = noise
+    Z, U = Z[:n_rep], None if U is None else U[:n_rep]
     fills = [(Z, _lane_stream(cfg.seed, block, _KIND_NORMAL),
               "standard_normal")]
     if U is not None:
@@ -285,11 +288,16 @@ def _block_len(width: int, steps_left: int) -> int:
     return min(steps_left, max(1, _CELLS // width))
 
 
-def _block_buffers(width: int, count: int) -> list:
-    """``count`` flat buffers, each holding the (K + 1, n) array of any
-    block n <= width rows wide (K n <= max(_CELLS, n)); blocks reuse them."""
+def _buffers(cfg: SimConfig, width: int, count: int) -> tuple:
+    """The buffers of one driver call, for RNG blocks up to ``width`` rows:
+    the noise buffers (normals, and uniforms for bridge crossing), of which
+    each block fills its first rows, and ``count`` flat kernel buffers, each
+    holding the (K + 1, n) array of any kernel block n <= width rows wide
+    (K n <= max(_CELLS, n)).  Every block of the call reuses them."""
+    Z = np.empty((width, _CHUNK))
+    U = np.empty((width, _CHUNK)) if cfg.crossing == "bridge" else None
     size = min((_CHUNK + 1) * width, max(_CELLS, width) + width)
-    return [np.empty(size) for _ in range(count)]
+    return (Z, U), [np.empty(size) for _ in range(count)]
 
 
 def _shaped(buf: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -373,18 +381,20 @@ def _fractions(tests: tuple, at: tuple) -> np.ndarray:
 # -- hitting-time driver -----------------------------------------------------
 
 def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
-               level: float, block: int, n_rep: int) -> np.ndarray:
+               level: float, block: int, n_rep: int,
+               buffers: tuple | None = None) -> np.ndarray:
     """Hitting times of one RNG block (nan: censored).  A replica that hits
     steps on to the end of its kernel block; its hit is its first crossing
-    in the block, and the later steps are discarded."""
+    in the block, and the later steps are discarded.  ``buffers`` are the
+    call's (``_buffers``; allocated for this block alone if None)."""
+    noise, (t_buf, s2_buf) = buffers or _buffers(cfg, n_rep, 2)
     h, s2 = cfg.step, model.constant_sigma_sq   # a scalar, or per step
     s2_rows = cfg.crossing == "bridge" and s2 is None
     x = np.full(n_rep, float(x0))
     idx = np.arange(n_rep)
     hit = np.full(n_rep, np.nan)
-    t_buf, s2_buf = _block_buffers(n_rep, 2)
     # the lambda reads idx as it stands at each chunk start
-    for start, Z, U in _noise(cfg, block, n_rep, lambda: idx):
+    for start, Z, U in _noise(cfg, block, n_rep, lambda: idx, noise):
         j = 0
         while idx.size and j < Z.shape[1]:
             n = idx.size
@@ -457,8 +467,9 @@ def _level_walk(level: np.ndarray, b: float, tests_a: tuple, tests_b: tuple):
 
 
 def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
-                 n_rep: int, cp_steps: np.ndarray, max_cycles: int | None):
-    """Regeneration paths of one RNG block.
+                 n_rep: int, cp_steps: np.ndarray, max_cycles: int | None,
+                 buffers: tuple):
+    """Regeneration paths of one RNG block, with the call's ``buffers``.
 
     Per kernel block, f, the running integral (a cumulative sum in step
     order) and the events run on whole arrays.  Full-horizon runs test both
@@ -466,6 +477,7 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     ``max_cycles`` a row may not step past its last event, so the kernel
     tests each row's level per step and ends the block at the first event.
     """
+    noise, (t_buf, s2_buf, f_buf) = buffers
     h, s2 = cfg.step, model.constant_sigma_sq   # a scalar, or per step
     fv = vectorize_integrand(f)
     stop = max_cycles is not None             # rows leave at their events
@@ -480,7 +492,6 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
     s_rep, s_time = [], []                    # S-event records
     r_rep, r_time, r_cyc = [], [], []         # R-event records
     additive = np.zeros((n_rep, cp_steps.size))
-    t_buf, s2_buf, f_buf = _block_buffers(n_rep, 3)
 
     def record(step0, k, cols, theta, fx, F):
         """Events of rows ``cols`` at block steps k, one per row."""
@@ -501,7 +512,7 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
         return pc[n_r[g] >= max_cycles] if stop else None
 
     # the lambda reads idx as it stands at each chunk start
-    for start, Z, U in _noise(cfg, block, n_rep, lambda: idx):
+    for start, Z, U in _noise(cfg, block, n_rep, lambda: idx, noise):
         j = 0
         while idx.size and j < Z.shape[1]:
             n = idx.size
@@ -572,7 +583,9 @@ def simulate_paths(model: DiffusionModel, cfg: SimConfig, f,
     if cp_steps.size and max_cycles is not None:
         raise ConfigError("checkpoints cannot be combined with max_cycles "
                           "(frozen replicas would report stale integrals)")
-    parts = [_regen_block(model, cfg, f, bid, cnt, cp_steps, max_cycles)
+    buffers = _buffers(cfg, min(_BLOCK, cfg.replicas), 3)
+    parts = [_regen_block(model, cfg, f, bid, cnt, cp_steps, max_cycles,
+                          buffers)
              for bid, cnt in _block_layout(cfg.replicas)]
     samples = [s for block_samples, _ in parts for s in block_samples]
     additive = np.vstack([p[1] for p in parts]) if parts else np.zeros((0, 0))
@@ -615,7 +628,9 @@ def estimate_hitting_moments(model: DiffusionModel, cfg: SimConfig, x0: float,
                                 censored_fraction=0.0, order=k,
                                 n_used=cfg.replicas)
                 for k in orders]
-    times = np.concatenate([_hit_block(model, cfg, x0, target, bid, cnt)
+    buffers = _buffers(cfg, min(_BLOCK, cfg.replicas), 2)
+    times = np.concatenate([_hit_block(model, cfg, x0, target, bid, cnt,
+                                       buffers)
                             for bid, cnt in _block_layout(cfg.replicas)])
     censored = np.isnan(times)
     frac = float(np.mean(censored))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ergodiff.errors import DomainError, NonConvergenceError
-from ergodiff.gridfn import Antiderivative, cumulative_panels
+from ergodiff.gridfn import _OFFSETS, Antiderivative, cumulative_panels
 from ergodiff.quadrature import _gap_panels, _panel_integrals
 
 
@@ -51,6 +51,20 @@ def test_antiderivative_evaluates_only_up_to_the_query():
     F = Antiderivative(g)
     assert np.isfinite(F(26.5)) and np.isfinite(F(-26.5))
     assert max(seen) <= 26.5
+
+
+@pytest.mark.parametrize("anchor", [0.0, 0.5, 30.0])
+def test_antiderivatives_share_one_read_only_edge_pair(anchor):
+    F = Antiderivative(np.cos, anchor=anchor)
+    G = Antiderivative(np.sin, anchor=anchor)
+    assert F._edges[1] is G._edges[1] and F._edges[-1] is G._edges[-1]
+    for side, want in ((1, anchor + _OFFSETS), (-1, anchor - _OFFSETS)):
+        edges = F._edges[side]
+        assert edges.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            edges[1] = 0.0
+    assert Antiderivative(np.cos, anchor=anchor + 1.0)._edges[1] \
+        is not F._edges[1]
 
 
 def test_antiderivative_rejects_non_finite_points():

@@ -1,12 +1,17 @@
 """The coefficient and scale/speed layers and the moment tables built on them
 give bitwise-equal results whatever calls the same model answered before."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from ergodiff.diffusion import DiffusionModel, bounded_drift, ou
-from ergodiff.kac import hitting_moment_table
+from ergodiff.kac import exit_moment_table, hitting_moment_table, mean_exit_time
 from ergodiff.quadrature import QuadratureConfig
+from ergodiff.simulator import (SimConfig, estimate_hitting_moments,
+                                simulate_paths)
 
 OU_PROBES = np.array([-3.7, -1.0, -0.03, 0.0, 0.4, 1.0, 2.5, 3.1, 4.2])
 OU_GRID = [0.5, 1.0, 1.5, 2.0]
@@ -90,3 +95,37 @@ def test_a_failed_call_leaves_the_drift_an_array_call():
     calls.clear()
     assert np.array_equal(model.drift(probes), fresh)
     assert calls == [(9,)]
+
+
+LIFETIME_MODELS = {
+    "ou": lambda: ou(1.0),
+    "bounded_drift": lambda: bounded_drift(2.2),
+    "gamma_family": lambda: DiffusionModel(
+        lambda x: -2 * x * (1 + x * x) ** -0.75,
+        lambda x: (1 + x * x) ** 0.125),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFETIME_MODELS))
+def test_a_model_is_freed_without_the_cyclic_collector(name):
+    # a model, its scale/speed panel sums and the from_below mirror must go
+    # when their last reference does, not wait for a cyclic-GC pass
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        model = LIFETIME_MODELS[name]()
+        model.classify_recurrence()
+        hitting_moment_table(model, 0.0, "from_above", [0.5, 1.0], 2)
+        hitting_moment_table(model, 0.0, "from_below", [-1.0, -0.5], 2)
+        exit_moment_table(model, -1.0, 1.0, [-0.5, 0.0, 0.5], 2)
+        mean_exit_time(model, -1.0, 1.0, 0.25)
+        cfg = SimConfig(step=0.01, horizon=4.0, replicas=16, seed=1,
+                        a=-0.5, b=0.5, initial=0.0)
+        simulate_paths(model, cfg, np.abs, checkpoints=[2.0])
+        estimate_hitting_moments(model, cfg, 0.5, 0.0, (1,))
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

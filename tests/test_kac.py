@@ -7,8 +7,9 @@ from scipy import integrate as sci
 from scipy import special
 
 from ergodiff import kac
-from ergodiff.bounds import (MomentBoundParams, moment_lower_bound,
-                             moment_upper_bound)
+from ergodiff.bounds import (MomentBoundParams, lower_bound_order_limit,
+                             moment_lower_bound, moment_upper_bound,
+                             upper_bound_order_limit)
 from ergodiff.diffusion import (AssumptionParams, DiffusionModel,
                                 bounded_drift, brownian, ou)
 from ergodiff.errors import (DomainError, InconclusiveError,
@@ -449,21 +450,29 @@ def test_gamma_family_verdicts_follow_the_order_threshold(theta, gamma):
             assert np.all(np.isinf(row)), k
 
 
-@pytest.mark.parametrize("theta, gamma", [
+ENVELOPE_CASES = pytest.mark.parametrize("theta, gamma", [
     (2.2, 0.0), (3.0, 0.0),        # bounded_drift
     (2.0, 0.25), (1.5, 0.3),       # the sigma != 1 gamma family
 ])
-def test_orders_1_and_2_lie_inside_the_polynomial_bounds(theta, gamma):
+
+
+def _enveloped(theta, gamma, m0=3.0):
     # the envelope of both families for |x| > m0: sigma0 = 1, delta = gamma,
     # sigma1 = (1 + 1/m0^2)^(gamma/2), and -x beta / sigma^2 = theta x^2 /
     # (1 + x^2) between r = theta m0^2 / (1 + m0^2) and R = theta
-    m0, a, xs = 3.0, 4.0, [5.0, 8.0, 12.0]
     model = (bounded_drift(theta) if gamma == 0.0
              else _gamma_family(theta, gamma))
     params = AssumptionParams(
         m0, sigma0=1.0, gamma=gamma, r=theta * m0 ** 2 / (1.0 + m0 ** 2),
         sigma1=(1.0 + 1.0 / m0 ** 2) ** (gamma / 2.0), delta=gamma,
         r_cap=theta)
+    return model, params
+
+
+@ENVELOPE_CASES
+def test_orders_1_and_2_lie_inside_the_polynomial_bounds(theta, gamma):
+    a, xs = 4.0, [5.0, 8.0, 12.0]
+    model, params = _enveloped(theta, gamma)
     report = model.check_assumptions(params, np.linspace(-200.0, 200.0, 801))
     assert report.lower_ok and report.upper_ok
     tbl = hitting_moment_table(model, a, "from_above", xs, 2)
@@ -472,6 +481,23 @@ def test_orders_1_and_2_lie_inside_the_polynomial_bounds(theta, gamma):
         for x, value in zip(xs, tbl.order(k)):
             assert (moment_lower_bound(bound, x, a) <= value
                     <= moment_upper_bound(bound, x)), (k, x)
+
+
+@ENVELOPE_CASES
+def test_table_verdicts_agree_with_the_bounds_order_limits(theta, gamma):
+    # orders below the upper bound's limit are finite, orders above the
+    # lower bound's limit +inf; the table runs one order past the latter
+    model, params = _enveloped(theta, gamma)
+    finite_below = upper_bound_order_limit(params)
+    infinite_above = lower_bound_order_limit(params)
+    n = math.floor(infinite_above) + 1
+    tbl = hitting_moment_table(model, 4.0, "from_above", [5.0, 8.0, 12.0], n)
+    for k in range(1, n + 1):
+        row = tbl.order(k)
+        if k < finite_below:
+            assert np.all(np.isfinite(row)), k
+        if k > infinite_above:
+            assert np.all(np.isinf(row)), k
 
 
 def test_missed_tolerance_raises(monkeypatch, ou1):

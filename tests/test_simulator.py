@@ -547,8 +547,9 @@ def _count_lane_draws(monkeypatch) -> tuple[list, list]:
 def _draw_all_lanes(monkeypatch):
     """Make every chunk refill every lane of the block, live or not."""
     real = simulator._noise
-    monkeypatch.setattr(simulator, "_noise", lambda cfg, block, n_rep, _: real(
-        cfg, block, n_rep, lambda: np.arange(n_rep)))
+    monkeypatch.setattr(
+        simulator, "_noise", lambda cfg, block, n_rep, _, noise: real(
+            cfg, block, n_rep, lambda: np.arange(n_rep), noise))
 
 
 @pytest.mark.parametrize("crossing", CROSSING_RULES)
@@ -583,6 +584,27 @@ def test_live_lanes_draw_gives_the_all_lanes_first_block_constants(
     _draw_all_lanes(monkeypatch)
     assert _batch_bytes(simulate_paths(*args, max_cycles=1)) == live
     assert n_live < len(draws) - n_live
+
+
+@pytest.mark.parametrize("crossing", CROSSING_RULES)
+def test_one_buffer_allocation_per_call(monkeypatch, crossing):
+    # 4500 replicas: a full RNG block, then a partial one, both drawing into
+    # the buffers allocated once for the call
+    assert simulator._BLOCK < 4500 < 2 * simulator._BLOCK
+    calls = []
+    real = simulator._buffers
+
+    def counted(cfg, width, count):
+        calls.append(width)
+        return real(cfg, width, count)
+
+    monkeypatch.setattr(simulator, "_buffers", counted)
+    cfg = _cfg(step=5e-3, horizon=2.0, replicas=4500, seed=3,
+               crossing=crossing)
+    estimate_hitting_moments(ou(1.0), cfg, 0.5, 0.0, (1,))
+    assert calls == [simulator._BLOCK]
+    simulate_paths(ou(1.0), cfg, INDICATOR)
+    assert calls == [simulator._BLOCK] * 2
 
 
 def _hitting_times(replicas: int, crossing: str) -> np.ndarray:
