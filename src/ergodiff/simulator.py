@@ -382,12 +382,12 @@ def _fractions(tests: tuple, at: tuple) -> np.ndarray:
 
 def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
                level: float, block: int, n_rep: int,
-               buffers: tuple | None = None) -> np.ndarray:
-    """Hitting times of one RNG block (nan: censored).  A replica that hits
-    steps on to the end of its kernel block; its hit is its first crossing
-    in the block, and the later steps are discarded.  ``buffers`` are the
-    call's (``_buffers``; allocated for this block alone if None)."""
-    noise, (t_buf, s2_buf) = buffers or _buffers(cfg, n_rep, 2)
+               buffers: tuple) -> np.ndarray:
+    """Hitting times of one RNG block (nan: censored), with the call's
+    ``buffers``.  A replica that hits steps on to the end of its kernel
+    block; its hit is its first crossing in the block, and the later steps
+    are discarded."""
+    noise, (t_buf, s2_buf) = buffers
     h, s2 = cfg.step, model.constant_sigma_sq   # a scalar, or per step
     s2_rows = cfg.crossing == "bridge" and s2 is None
     x = np.full(n_rep, float(x0))

@@ -610,8 +610,9 @@ def test_one_buffer_allocation_per_call(monkeypatch, crossing):
 def _hitting_times(replicas: int, crossing: str) -> np.ndarray:
     cfg = _cfg(step=5e-3, horizon=10.0, replicas=replicas, seed=21,
                crossing=crossing)
+    buffers = simulator._buffers(cfg, min(simulator._BLOCK, replicas), 2)
     return np.concatenate([
-        simulator._hit_block(ou(1.0), cfg, 0.5, 0.0, block, n_rep)
+        simulator._hit_block(ou(1.0), cfg, 0.5, 0.0, block, n_rep, buffers)
         for block, n_rep in simulator._block_layout(replicas)])
 
 
