@@ -5,7 +5,10 @@ change of (X - level) across a step, with the crossing instant placed by
 linear interpolation inside the step; optionally a Brownian-bridge test also
 fires on same-side steps (probability exp(-2 d0 d1 / (sigma^2 h))), which
 removes the O(sqrt(h)) barrier-shift bias of pure sign-change detection at
-the cost of one extra uniform stream.
+the cost of one extra uniform stream.  The bridge test is evaluated only
+where it can fire: where d0 d1 < 20 sigma^2 h (elsewhere its probability is
+below 4.3e-18) or the step's uniform is below 1e-17; the mask is bit for bit
+that of the test on every entry.
 
 One time-blocked kernel, ``_euler_block``, serves both drivers.  Per step it
 evaluates the coefficients and takes the Euler step into a (K + 1, rows)
@@ -13,7 +16,8 @@ trajectory (and stores sigma^2 for the bridge test); the crossing tests, the
 crossing fractions (on the crossing entries only), f on one flat array, the
 running integral (a cumulative sum in step order, bitwise that of an
 in-place +=), checkpoints and event records run once per block of K steps,
-about _CELLS cells, never across a noise chunk.  Outputs do not depend on K.
+about _CELLS cells but at least _MIN_STEPS steps, never across a noise
+chunk.  Outputs do not depend on K.
 The hitting driver tests its fixed level: a replica's hit is its first
 crossing in the block, and its later steps in the block are discarded.  The
 regeneration driver tests both levels over the block and walks each row's
@@ -72,6 +76,7 @@ _BLOCK = 4096       # replicas per stream block (fixed: part of the RNG layout)
 _CHUNK = 512        # steps per noise chunk (fixed: part of the RNG layout)
 _LANE = 8           # rows per noise lane (fixed: part of the RNG layout)
 _CELLS = 1 << 14    # steps x rows per kernel block (outputs do not depend on it)
+_MIN_STEPS = 16     # least steps per kernel block (outputs do not depend on it)
 _KIND_NORMAL = 0
 _KIND_UNIFORM = 1
 _KIND_INITIAL = 2
@@ -162,6 +167,10 @@ class SimConfig:
             raise ConfigError("horizon must be finite and cover one step")
         if abs(self.n_steps * self.step - self.horizon) > 1e-9 * self.horizon:
             raise ConfigError("horizon must be a whole number of steps")
+        for name in ("replicas", "seed"):
+            value = getattr(self, name)    # bool subclasses int
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer")
         if self.replicas < 1:
             raise ConfigError("replicas must be >= 1")
         if self.seed < 0:
@@ -284,8 +293,11 @@ def _noise(cfg: SimConfig, block: int, n_rep: int, live_rows, noise: tuple):
 
 
 def _block_len(width: int, steps_left: int) -> int:
-    """Steps of the next block: about _CELLS cells, within the noise chunk."""
-    return min(steps_left, max(1, _CELLS // width))
+    """Steps of the next block, within the noise chunk: about _CELLS cells,
+    but at least _MIN_STEPS steps, so that a wide block pays its fixed
+    costs (the block check, the crossing call, the reductions over the
+    block) once per _MIN_STEPS steps or more."""
+    return min(steps_left, max(_MIN_STEPS, _CELLS // width))
 
 
 def _buffers(cfg: SimConfig, width: int, count: int) -> tuple:
@@ -293,10 +305,11 @@ def _buffers(cfg: SimConfig, width: int, count: int) -> tuple:
     the noise buffers (normals, and uniforms for bridge crossing), of which
     each block fills its first rows, and ``count`` flat kernel buffers, each
     holding the (K + 1, n) array of any kernel block n <= width rows wide
-    (K n <= max(_CELLS, n)).  Every block of the call reuses them."""
+    (K <= _CHUNK and K n <= max(_CELLS, _MIN_STEPS n)).  Every block of the
+    call reuses them."""
     Z = np.empty((width, _CHUNK))
     U = np.empty((width, _CHUNK)) if cfg.crossing == "bridge" else None
-    size = min((_CHUNK + 1) * width, max(_CELLS, width) + width)
+    size = min((_CHUNK + 1) * width, max(_CELLS, _MIN_STEPS * width) + width)
     return (Z, U), [np.empty(size) for _ in range(count)]
 
 
@@ -316,7 +329,8 @@ def _euler_block(model: DiffusionModel, cfg: SimConfig, T: np.ndarray,
     resolves the steps before it and retries step k first in the next block.
     ``s2_out[k]`` gets a callable sigma's sigma^2 at T[k].  With ``level``
     (one per row) each step runs that level's crossing tests, with
-    uniforms u[k], and the first step where one fires ends the block.
+    uniforms u[k], and the first step where one fires ends the block; its
+    tests are returned as 1-d arrays.
     """
     h, guard, c = cfg.step, cfg.blowup_guard, model.constant_sigma_sq
     root_h = math.sqrt(h)
@@ -336,10 +350,10 @@ def _euler_block(model: DiffusionModel, cfg: SimConfig, T: np.ndarray,
             if s2_out is not None:
                 s2_out[k] = s2
             if level is not None:
-                tests = _crossing_tests(x, T[k + 1], level, s2,
-                                        None if u is None else u[k], h)
+                tests = _crossing_tests(T[k:k + 2], level, s2,
+                                        None if u is None else u[k:k + 1], h)
                 if tests[3].any():
-                    return k + 1, tests
+                    return k + 1, tuple(t[0] for t in tests)
         return len(z), None
 
     try:    # a step that would warn ends the unchecked steps there
@@ -351,17 +365,33 @@ def _euler_block(model: DiffusionModel, cfg: SimConfig, T: np.ndarray,
         return steps(lambda x: model.step_coefficients(x, guard))
 
 
-def _crossing_tests(x0: np.ndarray, x1: np.ndarray, lvl, s2, u, h: float):
-    """Level tests of the steps x0 -> x1, elementwise: (d0, d1, sign-change
-    mask, crossing mask).  With uniforms u, a Brownian-bridge test also
-    fires on same-side steps (s2 is sigma^2 at x0)."""
-    d0, d1 = x0 - lvl, x1 - lvl
-    crossed = d0 * d1 <= 0.0
+def _crossing_tests(T: np.ndarray, lvl, s2, u, h: float):
+    """Level tests of the steps T[k] -> T[k + 1], elementwise: (d0, d1,
+    sign-change mask, crossing mask), d0 = T[:-1] - lvl and d1 = T[1:] - lvl
+    (views of one difference).  With uniforms u, a Brownian-bridge test
+    also fires on same-side steps where u < exp(min(arg, 0)), arg = -2 d0 d1
+    / (s2 h), with s2 sigma^2 at T[k] (a scalar or one per entry).
+
+    The bridge test is evaluated only where d0 d1 < 20 s2 h or u < 1e-17.
+    Elsewhere arg <= -40 (up to rounding), so exp(arg) <= 4.3e-18 < 1e-17
+    <= u and the test cannot fire: the mask is bit for bit that of the test
+    on every entry, as long as 20 s2 h is a normal double (s2 h >= 1.2e-309;
+    below that the rounding of a subnormal d0 d1 could move arg past -40).
+    """
+    D = T - lvl
+    d0, d1 = D[:-1], D[1:]
+    prod = d0 * d1
+    crossed = prod <= 0.0
     if u is None:
         return d0, d1, crossed, crossed
-    arg = -2.0 * d0 * d1 / (s2 * h)
-    fired = (~crossed) & (u < np.exp(np.minimum(arg, 0.0)))
-    return d0, d1, crossed, crossed | fired
+    s2h = s2 * h
+    near = ~crossed & ((prod < 20.0 * s2h) | (u < 1e-17))
+    if np.ndim(s2h):
+        s2h = np.broadcast_to(s2h, near.shape)[near]
+    arg = -2.0 * d0[near] * d1[near] / s2h
+    fired = crossed.copy()
+    fired[near] = u[near] < np.exp(np.minimum(arg, 0.0))
+    return d0, d1, crossed, fired
 
 
 def _fractions(tests: tuple, at: tuple) -> np.ndarray:
@@ -405,7 +435,7 @@ def _hit_block(model: DiffusionModel, cfg: SimConfig, x0: float,
             S2 = _shaped(s2_buf, K, n) if s2_rows else None
             K, _ = _euler_block(model, cfg, T, Z[rows, j:j + K].T, S2)
             u = None if U is None else U[rows, j:j + K].T
-            tests = _crossing_tests(T[:K], T[1:K + 1], level,
+            tests = _crossing_tests(T[:K + 1], level,
                                     s2 if S2 is None else S2[:K], u, h)
             fired = tests[3]
             out = fired.any(axis=0)
@@ -539,7 +569,7 @@ def _regen_block(model: DiffusionModel, cfg: SimConfig, f, block: int,
                 additive[:, ci] = F[cp_steps[ci] - step0]
             if not stop:
                 tests_a, tests_b = (_crossing_tests(
-                    T[:K], T[1:], lvl, s2 if S2 is None else S2[:K],
+                    T, lvl, s2 if S2 is None else S2[:K],
                     None if u is None else u[:K], h) for lvl in (cfg.a, cfg.b))
                 for k, cols, theta in _level_walk(level, cfg.b, tests_a,
                                                   tests_b):

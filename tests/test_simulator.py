@@ -39,6 +39,21 @@ def test_config_validation():
         _cfg(step=0.4, horizon=1.0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("replicas", 100.5), ("replicas", 100.0), ("replicas", True),
+    ("seed", 1.5), ("seed", 1.0), ("seed", False)])
+def test_config_rejects_non_integer_counts(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        _cfg(**{name: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = _cfg(horizon=1.0, replicas=np.int64(3), seed=np.uint32(9))
+    want = _cfg(horizon=1.0, replicas=3, seed=9)
+    assert _batch_bytes(simulate_paths(ou(1.0), cfg, INDICATOR)) \
+        == _batch_bytes(simulate_paths(ou(1.0), want, INDICATOR))
+
+
 def test_initial_law_coercion_and_sampling():
     cfg = _cfg(initial=0.25)
     assert isinstance(cfg.initial, InitialLaw)
@@ -331,10 +346,62 @@ def test_step_checks_after_a_hit_raise_nothing(crossing):
     model = DiffusionModel(NAN_BELOW, ONE, label="nan-below")
     cfg = _cfg(step=5e-3, horizon=10.0, replicas=500, seed=3, initial=0.5,
                crossing=crossing)
-    # all="raise" would also trip the bridge test's exp underflow
-    with np.errstate(invalid="raise", divide="raise", over="raise"):
+    # underflow too: the bridge test takes exp only where it can fire
+    with np.errstate(all="raise"):
         est, = estimate_hitting_moments(model, cfg, 0.5, 0.0, (1,))
     assert est.estimate == pytest.approx(AFTER_HIT[crossing], rel=1e-12)
+
+
+def _full_bridge_test(x0, x1, lvl, s2, u, h):
+    """The crossing mask with the bridge test evaluated on every entry."""
+    d0, d1 = x0 - lvl, x1 - lvl
+    crossed = d0 * d1 <= 0.0
+    arg = -2.0 * d0 * d1 / (s2 * h)
+    return crossed | ((~crossed) & (u < np.exp(np.minimum(arg, 0.0))))
+
+
+def test_bridge_screen_matches_the_full_test():
+    # the bridge test runs only where d0 d1 < 20 s2 h or u < 1e-17; its
+    # mask must be the full test's, bit for bit
+    h, K, n = 1e-3, 3, 12
+    rng = np.random.default_rng(4)
+    s2_entries = rng.uniform(0.25, 4.0, (K, n))
+    for s2 in (1.0, s2_entries):
+        s2h = np.broadcast_to(s2 * h, (K, n))
+        T = rng.normal(0.0, 0.1, (K + 1, n))    # sign changes, near steps
+        U = rng.random((K, n))
+        T[0, 0] = 0.0                            # d0 = 0
+        T[2, 1] = 0.0                            # d1 = 0, then d0 = 0
+        # (d1 for d0 = +-1, u) at step 0 of columns 2 on: d0 d1 just below
+        # and just above 20 s2 h (arg ~ -40), arg ~ -37, far steps (arg ~
+        # -100, where u = 0 fires), above the level and below it
+        cases = [
+            (np.nextafter(20.0 * s2h[0, 2], 0.0), 4e-18),
+            (np.nextafter(20.0 * s2h[0, 3], 1.0), 4e-18),
+            (np.nextafter(20.0 * s2h[0, 4], 1.0), 5e-18),
+            (18.5 * s2h[0, 5], 5e-17),
+            (50.0 * s2h[0, 6], 0.0),
+            (50.0 * s2h[0, 7], 5e-18),
+            (-50.0 * s2h[0, 8], 0.0),
+        ]
+        for col, (d1, u) in enumerate(cases, start=2):
+            sign = -1.0 if d1 < 0 else 1.0
+            T[0, col], T[1, col], U[0, col] = sign, d1, u
+        want = _full_bridge_test(T[:-1], T[1:], 0.0, s2, U, h)
+        assert want[0, 2:9].tolist() == [True, True, False, True, True,
+                                         False, True]
+        d0, d1, crossed, fired = simulator._crossing_tests(T, 0.0, s2, U, h)
+        assert np.array_equal(fired, want)
+        assert crossed.tobytes() == (d0 * d1 <= 0.0).tobytes()
+        assert d0.tobytes() == T[:-1].tobytes()
+        assert d1.tobytes() == T[1:].tobytes()
+        # the per-step call of a max_cycles run: per-row levels and sigma^2
+        level = np.zeros(n)
+        for k in range(K):
+            s2_k = s2 if np.ndim(s2) == 0 else s2[k]
+            got = simulator._crossing_tests(T[k:k + 2], level, s2_k,
+                                            U[k:k + 1], h)[3]
+            assert np.array_equal(got[0], want[k])
 
 
 def _batch_bytes(batch) -> list:
@@ -652,6 +719,10 @@ def test_kernel_block_length_changes_no_output(monkeypatch, crossing, run):
     # one step per kernel block, then one whole noise chunk per block (for
     # every block width here), must give the default blocks' outputs
     want = BLOCK_LENGTH_RUNS[run](crossing, run)
-    for cells in (1, simulator._CHUNK * simulator._BLOCK):
+    monkeypatch.setattr(simulator, "_MIN_STEPS", 1)
+    for cells, steps in ((1, 1), (simulator._CHUNK * simulator._BLOCK,
+                                  simulator._CHUNK)):
         monkeypatch.setattr(simulator, "_CELLS", cells)
+        assert {simulator._block_len(width, simulator._CHUNK)
+                for width in (1, simulator._BLOCK)} == {steps}
         assert BLOCK_LENGTH_RUNS[run](crossing, run) == want
